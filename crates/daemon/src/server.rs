@@ -137,13 +137,19 @@ struct Inner {
 }
 
 impl Inner {
-    /// Flags the daemon for drain: `/readyz` flips to 503, new
-    /// diagnosis batches are refused, and [`Daemon::wait`] wakes.
-    fn request_drain(&self) {
+    /// Flags the daemon for drain: `/readyz` flips to 503 and new
+    /// diagnosis batches are refused.
+    fn begin_drain(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
             scan_obs::serve::set_ready(false);
             metrics::incr("daemon.drains");
         }
+    }
+
+    /// [`Inner::begin_drain`], then wakes [`Daemon::wait`], which may
+    /// drain and let the process exit at once.
+    fn request_drain(&self) {
+        self.begin_drain();
         if let Ok(mut requested) = self.drain_requested.lock() {
             *requested = true;
         }
@@ -365,7 +371,7 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
             let _ = write_response(&mut stream, status, content_type, body.as_bytes(), &[]);
         }
         ("POST", "/admin/drain") => {
-            inner.request_drain();
+            inner.begin_drain();
             let _ = write_response(
                 &mut stream,
                 200,
@@ -373,6 +379,10 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                 b"{\"status\":\"draining\"}",
                 &[],
             );
+            // Wake `Daemon::wait` only once the reply is written: an
+            // idle daemon drains in microseconds, and the process must
+            // not exit before this connection has its answer.
+            inner.request_drain();
         }
         ("POST", "/diagnose") => {
             handle_diagnose(inner, &mut stream, request, &chaos, request_index);

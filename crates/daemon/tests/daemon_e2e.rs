@@ -1,6 +1,7 @@
 //! End-to-end tests against a live `scanbistd` on an ephemeral port:
 //! happy-path NDJSON batches, bounded-queue backpressure (429),
-//! deadline expiry (504), drain semantics (/readyz flip + 503), and
+//! deadline expiry (504), a cold plan for the largest circuit inside the
+//! default deadline, drain semantics (/readyz flip + 503), and
 //! deterministic chaos injection.
 //!
 //! The daemon publishes readiness through process-global scan-obs
@@ -89,6 +90,25 @@ fn s27_line(id: &str) -> String {
         "{{\"id\":\"{id}\",\"circuit\":\"s27\",\"groups\":2,\"partitions\":3,\
          \"patterns\":16,\"failing\":[[1],[],[]]}}"
     )
+}
+
+/// One valid request line against the largest ISCAS-89 stand-in
+/// (1 742 scan cells), optionally with a per-line deadline.
+fn s38417_line(id: &str, deadline_ms: Option<u64>) -> String {
+    let deadline = deadline_ms.map_or(String::new(), |ms| format!("\"deadline_ms\":{ms},"));
+    format!(
+        "{{\"id\":\"{id}\",\"circuit\":\"s38417\",\"groups\":8,\"partitions\":6,\
+         \"patterns\":64,{deadline}\"failing\":[[1],[2],[],[],[],[]]}}"
+    )
+}
+
+/// Polls `/statz` until the admission queue is empty.
+fn wait_for_empty_queue(addr: std::net::SocketAddr) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while field(&get(addr, "/statz").body, "queue_depth") != Some("0") {
+        assert!(std::time::Instant::now() < deadline, "admission queue never drained");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -190,22 +210,23 @@ fn full_queue_sheds_the_batch_with_429_and_retry_after() {
     .expect("start");
     let addr = daemon.addr();
 
-    // One batch with more lines than the queue can hold, against a
-    // circuit whose first plan build pins the single worker long
-    // enough for admission to hit the bound.
+    // One batch with more lines than the queue can hold, against the
+    // largest circuit, whose first plan build pins the single worker
+    // for tens of milliseconds while admission needs microseconds to
+    // hit the bound.
     let mut batch = String::new();
     for i in 0..8 {
-        batch.push_str(&format!(
-            "{{\"id\":\"q{i}\",\"circuit\":\"s953\",\"groups\":8,\"partitions\":6,\
-             \"patterns\":64,\"failing\":[[1],[2],[],[],[],[]]}}\n"
-        ));
+        batch.push_str(&format!("{}\n", s38417_line(&format!("q{i}"), None)));
     }
     let reply = post_diagnose(addr, &batch);
     assert_eq!(reply.status, 429, "body: {}", reply.body);
     assert_eq!(reply.header("retry-after"), Some("1"), "shed says when to retry");
     assert!(reply.body.contains("queue-full"), "{}", reply.body);
 
-    // The daemon is still healthy afterwards: a small batch succeeds.
+    // The daemon is still healthy afterwards: once the lines admitted
+    // before the shed have drained (the worker is still building their
+    // cold plan), a small batch succeeds.
+    wait_for_empty_queue(addr);
     let ok = post_diagnose(addr, &format!("{}\n", s27_line("after")));
     assert_eq!(ok.status, 200, "body: {}", ok.body);
 
@@ -222,13 +243,31 @@ fn expired_deadline_returns_504_and_cancels_work() {
     .expect("start");
     let addr = daemon.addr();
 
-    // deadline_ms=1 cannot cover a cold s953 plan build.
-    let batch = "{\"id\":\"late\",\"circuit\":\"s953\",\"groups\":8,\"partitions\":6,\
-                 \"patterns\":64,\"deadline_ms\":1,\"failing\":[[1],[2],[],[],[],[]]}\n";
-    let reply = post_diagnose(addr, batch);
+    // deadline_ms=1 cannot cover a cold plan build for the largest
+    // circuit (tens of milliseconds).
+    let batch = format!("{}\n", s38417_line("late", Some(1)));
+    let reply = post_diagnose(addr, &batch);
     assert_eq!(reply.status, 504, "body: {}", reply.body);
     assert!(reply.body.contains("deadline"), "{}", reply.body);
     assert!(reply.header("x-scanbist-trace").is_some());
+
+    daemon.shutdown();
+}
+
+#[test]
+fn cold_large_plan_meets_default_deadline() {
+    let _gate = lock();
+    let daemon = Daemon::start(DaemonConfig::default()).expect("start");
+    let addr = daemon.addr();
+
+    // A fresh daemon has no cached plan: this line pays the full
+    // netlist generation + plan build inside the default deadline.
+    let reply = post_diagnose(addr, &format!("{}\n", s38417_line("cold", None)));
+    assert_eq!(reply.status, 200, "body: {}", reply.body);
+    let lines = reply.lines();
+    assert_eq!(lines.len(), 1, "{}", reply.body);
+    assert_eq!(field(lines[0], "status"), Some("ok"), "line: {}", lines[0]);
+    assert_eq!(field(lines[0], "cells"), Some("1742"), "s38417 scan view");
 
     daemon.shutdown();
 }

@@ -13,9 +13,26 @@
 //! scan cells cluster in the scan chain — exactly the behaviour
 //! interval-based partitioning exploits. See `DESIGN.md` §5 for the full
 //! substitution rationale.
+//!
+//! # Cost and output contract
+//!
+//! Each gate input is one *pick*: a uniform draw from the nets of a
+//! positional window over every earlier layer, preferring nets no gate
+//! reads yet. Per-layer Fenwick trees over the "already read" flags give
+//! the pool sizes and the drawn member in O(layers · log n) per pick, so
+//! generation is O(gates · layers · log n) rather than O(gates · window).
+//!
+//! The output for a given `(profile, seed, config)` is pinned byte for
+//! byte (`tests/generate_pinned.rs`), and so is the *order of the RNG
+//! draws* that produce it: the same nets reached through different draws
+//! would shift every later pick. Every checked-in result downstream of a
+//! generated circuit depends on both.
+
+use std::fmt;
 
 use scan_rng::ScanRng;
 
+use crate::fenwick::{Pool, ReadMarks};
 use crate::gate::GateKind;
 use crate::{Netlist, NetlistBuilder};
 
@@ -159,38 +176,32 @@ pub fn generate(profile: &CircuitProfile, seed: u64) -> Netlist {
 /// Panics only if the generator violates its own structural invariants
 /// (which would be a bug, not a caller error).
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConfig) -> Netlist {
     let mut rng = ScanRng::seed_from_u64(seed ^ hash_name(profile.name));
     let mut b = NetlistBuilder::new(profile.name);
 
     // Source nets with positions: PIs spread uniformly, FF outputs at
     // their index position (scan order == position order).
-    let mut sources: Vec<(f64, String)> = Vec::new();
+    let mut sources = Vec::with_capacity(profile.inputs + profile.dffs);
     for i in 0..profile.inputs {
-        let name = format!("pi{i}");
-        b.input(&name);
+        b.input(&Net::Input(i).to_string());
         let pos = (i as f64 + 0.5) / profile.inputs.max(1) as f64;
-        sources.push((pos, name));
+        sources.push((pos, Net::Input(i)));
     }
     let mut ff_d_names = Vec::with_capacity(profile.dffs);
     for i in 0..profile.dffs {
-        let q = format!("q{i}");
         let d = format!("d{i}");
-        b.dff(&q, &d);
+        b.dff(&Net::Flop(i).to_string(), &d);
         let pos = (i as f64 + 0.5) / profile.dffs.max(1) as f64;
-        sources.push((pos, q));
+        sources.push((pos, Net::Flop(i)));
         ff_d_names.push((pos, d));
     }
-    sources.sort_by(|a, b| a.0.total_cmp(&b.0));
-    // Nets already read by some gate (dangling-logic avoidance).
-    // lint:allow(L014): membership-only set (contains/insert), never iterated
-    let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
 
     // Gate cloud: `levels` layers; each layer draws inputs from a window
     // around its position in all previous layers (and the sources).
     let levels = config.levels.max(1);
-    let mut layers: Vec<Vec<(f64, String)>> = vec![sources];
+    let mut picker = Picker::new(config.locality);
+    picker.push_layer(sources);
     let mut remaining = profile.gates;
     // Reserve one gate per FF D-input and per PO for the final hookup
     // stage so total gate count ≈ profile.gates.
@@ -206,7 +217,7 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
         let mut layer = Vec::with_capacity(this_level);
         for _ in 0..this_level {
             let pos: f64 = rng.next_f64();
-            let name = format!("w{gate_counter}");
+            let net = Net::Gate(gate_counter);
             gate_counter += 1;
             let kind = pick_kind(&mut rng, config);
             let fanin = if kind.is_unary() {
@@ -214,13 +225,11 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
             } else {
                 rng.gen_range_inclusive(2, config.max_fanin)
             };
-            let inputs = pick_inputs(&mut rng, &layers, &mut used, pos, fanin, config.locality);
-            let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-            b.gate(kind, &name, &input_refs);
-            layer.push((pos, name));
+            let inputs = picker.pick_inputs(&mut rng, pos, fanin);
+            b.gate(kind, &net.to_string(), &inputs);
+            layer.push((pos, net));
         }
-        layer.sort_by(|a, b| a.0.total_cmp(&b.0));
-        layers.push(layer);
+        picker.push_layer(layer);
     }
     remaining = remaining.saturating_sub(cloud);
 
@@ -229,9 +238,7 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
     for (pos, d) in &ff_d_names {
         let kind = pick_kind_nonunary(&mut rng, config);
         let fanin = rng.gen_range_inclusive(2, config.max_fanin);
-        let inputs = pick_inputs(&mut rng, &layers, &mut used, *pos, fanin, config.locality);
-        let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-        b.gate(kind, d, &input_refs);
+        b.gate(kind, d, &picker.pick_inputs(&mut rng, *pos, fanin));
         remaining = remaining.saturating_sub(1);
     }
     // Hook up POs similarly.
@@ -240,12 +247,13 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
         let pos = (i as f64 + 0.5) / profile.outputs.max(1) as f64;
         let kind = pick_kind_nonunary(&mut rng, config);
         let fanin = rng.gen_range_inclusive(2, config.max_fanin);
-        let inputs = pick_inputs(&mut rng, &layers, &mut used, pos, fanin, config.locality);
-        let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-        b.gate(kind, &name, &input_refs);
+        b.gate(kind, &name, &picker.pick_inputs(&mut rng, pos, fanin));
         b.output(&name);
     }
 
+    // Free the picker before `finish` builds the netlist, so the
+    // netlist can reuse its memory.
+    drop(picker);
     b.finish()
         .expect("generator produces structurally valid netlists")
 }
@@ -311,66 +319,173 @@ fn pick_kind_nonunary(rng: &mut ScanRng, config: &GeneratorConfig) -> GateKind {
     }
 }
 
-/// Picks `fanin` distinct nets from the accumulated layers, preferring
-/// nets whose position lies within `locality` of `pos`. The window is
-/// widened geometrically until enough candidates exist. Among the
-/// window's candidates, nets that are not yet read by any gate are
-/// preferred, which keeps the dangling-logic fraction (and hence the
-/// unobservable-fault fraction) low.
-fn pick_inputs(
-    rng: &mut ScanRng,
-    layers: &[Vec<(f64, String)>],
-    used: &mut std::collections::HashSet<String>,
-    pos: f64,
-    fanin: usize,
-    locality: f64,
-) -> Vec<String> {
-    let mut chosen: Vec<String> = Vec::with_capacity(fanin);
-    let mut window = locality;
-    while chosen.len() < fanin {
-        // Collect candidates in the window across all existing layers.
-        let mut fresh: Vec<&String> = Vec::new();
-        let mut seen: Vec<&String> = Vec::new();
-        for layer in layers {
-            let lo = layer.partition_point(|(p, _)| *p < pos - window);
-            let hi = layer.partition_point(|(p, _)| *p <= pos + window);
-            for (_, name) in &layer[lo..hi] {
-                if chosen.iter().any(|c| c == name) {
-                    continue;
-                }
-                if used.contains(name) {
-                    seen.push(name);
-                } else {
-                    fresh.push(name);
-                }
-            }
+/// A candidate input net. Layers store these rather than names; the
+/// name is formatted only when a builder call needs it.
+#[derive(Clone, Copy, Debug)]
+enum Net {
+    /// Primary input `pi{i}`.
+    Input(usize),
+    /// Flip-flop output `q{i}`.
+    Flop(usize),
+    /// Cloud gate output `w{i}`.
+    Gate(usize),
+}
+
+impl fmt::Display for Net {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Net::Input(i) => write!(f, "pi{i}"),
+            Net::Flop(i) => write!(f, "q{i}"),
+            Net::Gate(i) => write!(f, "w{i}"),
         }
-        // Prefer unread nets most of the time; mixing in some reuse
-        // keeps fanout (and therefore branch faults) realistic.
-        let pool = if !fresh.is_empty() && (seen.is_empty() || rng.gen_bool(0.8)) {
-            &fresh
-        } else {
-            &seen
-        };
-        if pool.is_empty() {
-            window *= 2.0;
-            if window > 1.0 {
-                // Degenerate (shouldn't happen: sources always exist);
-                // fall back to any net from the first layer.
-                let any = &layers[0][rng.gen_index(layers[0].len())].1;
-                if !chosen.iter().any(|c| c == any) {
-                    chosen.push(any.clone());
+    }
+}
+
+/// One finished layer of candidate input nets, sorted by position.
+struct Layer {
+    nets: Vec<(f64, Net)>,
+    /// Which slots some gate already reads (dangling-logic avoidance).
+    read: ReadMarks,
+}
+
+/// A net in the accumulated layers: `(layer, slot)` in position order.
+#[derive(Clone, Copy, Eq, PartialEq, Debug)]
+struct NetRef {
+    layer: usize,
+    slot: usize,
+}
+
+/// A layer's share of the current window: its first slot and the
+/// sizes of both pools after excluding already-chosen nets.
+#[derive(Clone, Copy)]
+struct LayerWindow {
+    lo: usize,
+    unread: usize,
+    read: usize,
+}
+
+impl LayerWindow {
+    fn size(&self, pool: Pool) -> usize {
+        match pool {
+            Pool::Unread => self.unread,
+            Pool::Read => self.read,
+        }
+    }
+}
+
+/// Input selection state: the accumulated layers plus scratch buffers
+/// reused across picks.
+struct Picker {
+    locality: f64,
+    layers: Vec<Layer>,
+    windows: Vec<LayerWindow>,
+    chosen: Vec<NetRef>,
+    names: Vec<String>,
+}
+
+impl Picker {
+    fn new(locality: f64) -> Self {
+        Picker {
+            locality,
+            layers: Vec::new(),
+            windows: Vec::new(),
+            chosen: Vec::new(),
+            names: Vec::new(),
+        }
+    }
+
+    /// Appends a layer of `(position, net)` pairs. The sort is stable,
+    /// so nets at equal positions keep their creation order.
+    fn push_layer(&mut self, mut nets: Vec<(f64, Net)>) {
+        nets.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let read = ReadMarks::new(nets.len());
+        self.layers.push(Layer { nets, read });
+    }
+
+    /// Slots of the already-chosen nets that lie in `layer`.
+    fn chosen_in(chosen: &[NetRef], layer: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        chosen
+            .iter()
+            .filter(move |c| c.layer == layer)
+            .map(|c| c.slot)
+    }
+
+    /// Picks `fanin` distinct nets from the accumulated layers,
+    /// preferring nets whose position lies within `locality` of `pos`.
+    /// The window is widened geometrically until enough candidates
+    /// exist. Among the window's candidates, nets that are not yet read
+    /// by any gate are preferred, which keeps the dangling-logic
+    /// fraction (and hence the unobservable-fault fraction) low.
+    ///
+    /// The pools are the window's nets in layer order, then position
+    /// order, minus the nets already chosen for this gate; a pick is a
+    /// uniform index into the chosen pool. Each attempt costs
+    /// O(layers · log n) through the per-layer [`ReadMarks`] counts.
+    /// The order of the `rng` draws is part of the pinned output (see
+    /// the module docs).
+    fn pick_inputs(&mut self, rng: &mut ScanRng, pos: f64, fanin: usize) -> Vec<&str> {
+        self.chosen.clear();
+        let mut window = self.locality;
+        while self.chosen.len() < fanin {
+            self.windows.clear();
+            let (mut unread, mut read) = (0, 0);
+            for (l, layer) in self.layers.iter().enumerate() {
+                let lo = layer.nets.partition_point(|(p, _)| *p < pos - window);
+                let hi = layer.nets.partition_point(|(p, _)| *p <= pos + window);
+                let excluded = Self::chosen_in(&self.chosen, l);
+                let share = LayerWindow {
+                    lo,
+                    unread: layer.read.count(lo, hi, Pool::Unread, &excluded),
+                    read: layer.read.count(lo, hi, Pool::Read, &excluded),
+                };
+                unread += share.unread;
+                read += share.read;
+                self.windows.push(share);
+            }
+            // Prefer unread nets most of the time; mixing in some reuse
+            // keeps fanout (and therefore branch faults) realistic.
+            let (pool, size) = if unread > 0 && (read == 0 || rng.gen_bool(0.8)) {
+                (Pool::Unread, unread)
+            } else {
+                (Pool::Read, read)
+            };
+            if size == 0 {
+                window *= 2.0;
+                if window > 1.0 {
+                    // Degenerate (shouldn't happen: sources always exist);
+                    // fall back to any net from the first layer, without
+                    // marking it read.
+                    let any = NetRef {
+                        layer: 0,
+                        slot: rng.gen_index(self.layers[0].nets.len()),
+                    };
+                    if !self.chosen.contains(&any) {
+                        self.chosen.push(any);
+                    }
                 }
                 continue;
             }
-            continue;
+            let mut k = rng.gen_index(size);
+            for (l, share) in self.windows.iter().enumerate() {
+                if k < share.size(pool) {
+                    let read = &mut self.layers[l].read;
+                    let slot = read.select(share.lo, k, pool, &Self::chosen_in(&self.chosen, l));
+                    read.mark(slot);
+                    self.chosen.push(NetRef { layer: l, slot });
+                    break;
+                }
+                k -= share.size(pool);
+            }
+            window = self.locality;
         }
-        let pick = pool[rng.gen_index(pool.len())];
-        chosen.push(pick.clone());
-        used.insert(pick.clone());
-        window = locality;
+        self.names.clear();
+        self.names.extend(
+            self.chosen
+                .iter()
+                .map(|c| self.layers[c.layer].nets[c.slot].1.to_string()),
+        );
+        self.names.iter().map(String::as_str).collect()
     }
-    chosen
 }
 
 #[cfg(test)]

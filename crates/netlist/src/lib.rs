@@ -36,6 +36,7 @@ pub mod bench;
 mod bitset;
 pub mod dot;
 mod error;
+mod fenwick;
 mod gate;
 pub mod generate;
 mod netlist;
