@@ -278,6 +278,8 @@ fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
     Ok((name.to_ascii_lowercase(), value.to_owned()))
 }
 
+/// Reads the rest of a `declared`-byte body straight into one buffer
+/// (`declared` is already capped by [`Limits::body`]).
 fn read_body(
     reader: &mut impl Read,
     mut body: Vec<u8>,
@@ -287,16 +289,14 @@ fn read_body(
         // More bytes than declared: pipelining is not supported here.
         return Err(HttpError::Malformed("body longer than content-length"));
     }
-    let mut chunk = [0u8; 4096];
-    while body.len() < declared {
-        let want = (declared - body.len()).min(chunk.len());
-        // lint:allow(L012): `want` is min-clamped to `chunk.len()` above
-        let n = reader.read(&mut chunk[..want]).map_err(|e| io_error(&e))?;
+    let mut filled = body.len();
+    body.resize(declared, 0);
+    while let Some(rest) = body.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        let n = reader.read(rest).map_err(|e| io_error(&e))?;
         if n == 0 {
             return Err(HttpError::Malformed("truncated body"));
         }
-        // lint:allow(L012): `read()` guarantees `n <= want <= chunk.len()`
-        body.extend_from_slice(&chunk[..n]);
+        filled += n;
     }
     Ok(body)
 }
@@ -323,8 +323,9 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a full `Connection: close` response. `extra_headers` lets
-/// callers attach `Retry-After`, trace ids, or chaos markers.
+/// Writes a full `Connection: close` response, head and body in one
+/// write. `extra_headers` lets callers attach `Retry-After`, trace
+/// ids, or chaos markers.
 ///
 /// # Errors
 ///
@@ -348,8 +349,9 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
+    let mut out = head.into_bytes();
+    out.extend_from_slice(body);
+    w.write_all(&out)?;
     w.flush()
 }
 

@@ -16,6 +16,9 @@ struct Ring<T> {
     head: usize,
     len: usize,
     closed: bool,
+    /// Consumers blocked in [`BoundedQueue::pop`]; a push signals only
+    /// when one is.
+    waiting: usize,
 }
 
 /// A blocking MPMC queue with a hard capacity.
@@ -37,6 +40,7 @@ impl<T> BoundedQueue<T> {
                 head: 0,
                 len: 0,
                 closed: false,
+                waiting: 0,
             }),
             not_empty: Condvar::new(),
         }
@@ -76,8 +80,11 @@ impl<T> BoundedQueue<T> {
         ring.slots[tail] = Some(item);
         ring.len += 1;
         let depth = ring.len;
+        let wake = ring.waiting > 0;
         drop(ring);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         Ok(depth)
     }
 
@@ -101,7 +108,9 @@ impl<T> BoundedQueue<T> {
             if ring.closed {
                 return None;
             }
+            ring.waiting += 1;
             ring = self.not_empty.wait(ring).ok()?;
+            ring.waiting -= 1;
         }
     }
 

@@ -1,15 +1,29 @@
 //! `scanbistd` — the diagnosis-as-a-service daemon.
 //!
-//! One accept thread, one handler thread per connection (capped), and
-//! a fixed worker pool draining the bounded admission queue. The
-//! daemon is engineered to degrade instead of falling over:
+//! Three kinds of thread:
+//!
+//! * **Accept** — one thread owns the listener. A connection past
+//!   `max_connections` gets `503 overloaded` at once; any other is
+//!   handed to an idle connection handler through a [`BoundedQueue`]
+//!   of capacity `max_connections`, or to a newly spawned handler when
+//!   none is idle.
+//! * **Connection handlers** — a pool that grows on demand up to
+//!   `max_connections` and never shrinks. A handler reads one request,
+//!   decodes and admits its lines, waits for the batch, writes the
+//!   response, flushes its thread-local telemetry, and parks on the
+//!   queue for the next connection. Drain closes the queue once the
+//!   accept thread has exited, which releases the parked handlers.
+//! * **Workers** — a fixed pool draining the bounded admission queue
+//!   of diagnosis jobs, one job per request line.
+//!
+//! The daemon is engineered to degrade instead of falling over:
 //!
 //! * **Backpressure** — admission goes through a [`BoundedQueue`];
 //!   when it is full the batch is refused with `429` and
 //!   `Retry-After`, never buffered.
 //! * **Deadlines** — each batch carries a deadline (the minimum of its
 //!   lines' `deadline_ms` and the configured default). The connection
-//!   thread waits no longer; on expiry it cancels the batch's
+//!   handler waits no longer; on expiry it cancels the batch's
 //!   [`CancelToken`] (workers stop between partition sessions) and
 //!   answers `504`.
 //! * **Load shedding** — before refusing work the daemon sheds
@@ -18,8 +32,9 @@
 //!   and answering from the single-pass reported-evidence path.
 //! * **Drain** — `POST /admin/drain` (or [`Daemon::shutdown`]) flips
 //!   `/readyz` to 503, refuses new diagnosis batches, finishes or
-//!   times out in-flight work, closes the queue, joins the workers,
-//!   and flushes telemetry.
+//!   times out in-flight work, stops accepting, releases the handler
+//!   pool, closes the admission queue, joins the workers, and flushes
+//!   telemetry.
 //!
 //! GET routes are shared with the rest of the workspace by mounting
 //! [`scan_obs::serve::route`] (`/metrics`, `/metrics.json`, `/alerts.json`,
@@ -30,7 +45,7 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,24 +115,50 @@ struct Job {
 
 /// Shared state of one in-flight batch.
 struct Batch {
-    results: Mutex<Vec<Option<String>>>,
-    remaining: Mutex<usize>,
+    state: Mutex<BatchState>,
+    /// Signalled once, when the last queued line completes.
     done: Condvar,
     cancel: CancelToken,
     trace: String,
 }
 
+/// Response lines (parse errors filled in up front) and the number of
+/// queued lines still out. Every update leaves both valid, so a
+/// poisoned lock is still safe to read.
+struct BatchState {
+    results: Vec<Option<String>>,
+    remaining: usize,
+}
+
 impl Batch {
     fn complete(&self, index: usize, line: String) {
-        if let Ok(mut results) = self.results.lock() {
-            if let Some(slot) = results.get_mut(index) {
-                *slot = Some(line);
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(slot) = state.results.get_mut(index) {
+            *slot = Some(line);
+        }
+        state.remaining = state.remaining.saturating_sub(1);
+        if state.remaining == 0 {
+            drop(state);
+            self.done.notify_all();
+        }
+    }
+
+    /// Waits until every queued line is complete, or `deadline`
+    /// passes (`None`), and takes the response lines.
+    fn wait(&self, deadline: Instant) -> Option<Vec<Option<String>>> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while state.remaining > 0 {
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
             }
+            state = self
+                .done
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
-        if let Ok(mut remaining) = self.remaining.lock() {
-            *remaining = remaining.saturating_sub(1);
-        }
-        self.done.notify_all();
+        Some(std::mem::take(&mut state.results))
     }
 }
 
@@ -128,7 +169,13 @@ struct Inner {
     cache: PlanCache,
     draining: AtomicBool,
     accepting: AtomicBool,
+    /// Connections admitted and not yet finished (queued or handled).
     active_conns: AtomicUsize,
+    /// Accepted connections handed to the handler pool.
+    conns: BoundedQueue<TcpStream>,
+    /// Handlers parked (or about to park) on `conns` that no queued
+    /// connection has claimed yet.
+    idle_handlers: AtomicUsize,
     inflight_batches: Mutex<usize>,
     inflight_done: Condvar,
     requests: AtomicU64,
@@ -183,11 +230,13 @@ impl Daemon {
         let inner = Arc::new(Inner {
             queue: BoundedQueue::new(config.queue_capacity),
             cache: PlanCache::new(config.cache_capacity),
+            conns: BoundedQueue::new(config.max_connections),
             config,
             addr,
             draining: AtomicBool::new(false),
             accepting: AtomicBool::new(true),
             active_conns: AtomicUsize::new(0),
+            idle_handlers: AtomicUsize::new(0),
             inflight_batches: Mutex::new(0),
             inflight_done: Condvar::new(),
             requests: AtomicU64::new(0),
@@ -276,7 +325,11 @@ impl Daemon {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        // 3. Close the queue: queued jobs drain, then workers exit.
+        // 3. Release the parked connection handlers. A handler still
+        //    answering a connection exits once it is done; handlers are
+        //    not joined, so a slow client cannot hold up the drain.
+        inner.conns.close();
+        // 4. Close the queue: queued jobs drain, then workers exit.
         //    Any batch still waiting on those jobs is cancelled so its
         //    connection answers promptly instead of riding its full
         //    deadline.
@@ -289,6 +342,7 @@ impl Daemon {
 }
 
 fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
+    let mut handlers = 0usize;
     for stream in listener.incoming() {
         if !inner.accepting.load(Ordering::SeqCst) {
             break;
@@ -300,19 +354,47 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
             continue;
         }
         inner.active_conns.fetch_add(1, Ordering::SeqCst);
-        let conn_inner = Arc::clone(inner);
-        let spawned = std::thread::Builder::new()
-            .name("scanbistd-conn".to_owned())
-            .spawn(move || {
-                handle_connection(&conn_inner, stream);
-                conn_inner.active_conns.fetch_sub(1, Ordering::SeqCst);
-                scan_obs::registry::flush_thread();
-            });
-        if spawned.is_err() {
+        let claimed = inner
+            .idle_handlers
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |idle| {
+                idle.checked_sub(1)
+            })
+            .is_ok();
+        if !claimed && handlers < inner.config.max_connections {
+            let conn_inner = Arc::clone(inner);
+            let spawned = std::thread::Builder::new()
+                .name(format!("scanbistd-conn-{handlers}"))
+                .spawn(move || handler_loop(&conn_inner, stream));
+            match spawned {
+                Ok(_) => handlers += 1,
+                Err(_) => {
+                    inner.active_conns.fetch_sub(1, Ordering::SeqCst);
+                }
+            }
+        } else if inner.conns.try_push(stream).is_err() {
+            // The pool is closed: the daemon is shutting down.
             inner.active_conns.fetch_sub(1, Ordering::SeqCst);
         }
     }
     scan_obs::registry::flush_thread();
+}
+
+/// A pooled connection handler: answers the connection it was spawned
+/// for, then parks on `inner.conns` for the next one until drain
+/// closes the pool.
+fn handler_loop(inner: &Arc<Inner>, first: TcpStream) {
+    let mut next = Some(first);
+    while let Some(stream) = next {
+        handle_connection(inner, stream);
+        // Turn claimable before freeing the connection slot: every
+        // unclaimed handler then holds an admitted connection, so the
+        // accept thread never finds a free slot with no idle handler
+        // and the pool at its cap.
+        inner.idle_handlers.fetch_add(1, Ordering::SeqCst);
+        inner.active_conns.fetch_sub(1, Ordering::SeqCst);
+        scan_obs::registry::flush_thread();
+        next = inner.conns.pop();
+    }
 }
 
 fn refuse_connection(mut stream: TcpStream) {
@@ -500,14 +582,8 @@ fn handle_diagnose(
 
     // Parse every line up front; parse failures become response lines
     // without consuming queue slots.
-    let batch = Arc::new(Batch {
-        results: Mutex::new(vec![None; lines.len()]),
-        remaining: Mutex::new(0),
-        done: Condvar::new(),
-        cancel: CancelToken::new(),
-        trace: scan_obs::context::generate_trace_id(),
-    });
-    let mut jobs = Vec::new();
+    let mut results = vec![None; lines.len()];
+    let mut jobs = Vec::with_capacity(lines.len());
     let mut min_deadline_ms = inner.config.default_deadline_ms;
     for (index, line) in lines.iter().enumerate() {
         match DiagnoseRequest::parse_line(line) {
@@ -519,13 +595,21 @@ fn handle_diagnose(
             }
             Err((id, error)) => {
                 metrics::incr("daemon.parse_errors");
-                batch.complete_parse_error(index, &error, id.as_deref());
+                if let Some(slot) = results.get_mut(index) {
+                    *slot = Some(error.render(id.as_deref()));
+                }
             }
         }
     }
-    if let Ok(mut remaining) = batch.remaining.lock() {
-        *remaining = jobs.len();
-    }
+    let batch = Arc::new(Batch {
+        state: Mutex::new(BatchState {
+            results,
+            remaining: jobs.len(),
+        }),
+        done: Condvar::new(),
+        cancel: CancelToken::new(),
+        trace: scan_obs::context::generate_trace_id(),
+    });
 
     // Admission: push every job or shed the whole batch with 429.
     let mut peak_depth = 0usize;
@@ -577,21 +661,7 @@ fn handle_diagnose(
 
     // Wait for the workers, bounded by the batch deadline.
     let deadline = Instant::now() + Duration::from_millis(min_deadline_ms.max(1));
-    let mut timed_out = false;
-    if let Ok(mut remaining) = batch.remaining.lock() {
-        while *remaining > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                timed_out = true;
-                break;
-            }
-            match batch.done.wait_timeout(remaining, deadline - now) {
-                Ok((g, _)) => remaining = g,
-                Err(_) => break,
-            }
-        }
-    }
-    if timed_out {
+    let Some(results) = batch.wait(deadline) else {
         batch.cancel.cancel();
         metrics::incr("daemon.deadline_504");
         let body = ErrorBody {
@@ -608,24 +678,22 @@ fn handle_diagnose(
             &[("X-Scanbist-Trace", batch.trace.clone())],
         );
         return;
-    }
+    };
 
     let mut response = String::new();
-    if let Ok(results) = batch.results.lock() {
-        for line in results.iter() {
-            match line {
-                Some(line) => response.push_str(line),
-                None => response.push_str(
-                    &ErrorBody {
-                        code: "internal",
-                        http: 500,
-                        message: "result missing".to_owned(),
-                    }
-                    .render(None),
-                ),
-            }
-            response.push('\n');
+    for line in &results {
+        match line {
+            Some(line) => response.push_str(line),
+            None => response.push_str(
+                &ErrorBody {
+                    code: "internal",
+                    http: 500,
+                    message: "result missing".to_owned(),
+                }
+                .render(None),
+            ),
         }
+        response.push('\n');
     }
     if chaos.extra_latency_ms > 0 {
         metrics::incr("daemon.chaos.delays");
@@ -651,16 +719,6 @@ fn handle_diagnose(
         response.as_bytes(),
         &headers,
     );
-}
-
-impl Batch {
-    fn complete_parse_error(&self, index: usize, error: &ErrorBody, id: Option<&str>) {
-        if let Ok(mut results) = self.results.lock() {
-            if let Some(slot) = results.get_mut(index) {
-                *slot = Some(error.render(id));
-            }
-        }
-    }
 }
 
 /// Chaos: write full headers but only half the body, then hang up.

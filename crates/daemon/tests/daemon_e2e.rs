@@ -1,8 +1,9 @@
 //! End-to-end tests against a live `scanbistd` on an ephemeral port:
 //! happy-path NDJSON batches, bounded-queue backpressure (429),
 //! deadline expiry (504), a cold plan for the largest circuit inside the
-//! default deadline, drain semantics (/readyz flip + 503), and
-//! deterministic chaos injection.
+//! default deadline, drain semantics (/readyz flip + 503),
+//! deterministic chaos injection, the connection cap (503), and a
+//! long run of sequential batches through the pooled handlers.
 //!
 //! The daemon publishes readiness through process-global scan-obs
 //! state, so every test serializes on [`lock`].
@@ -41,13 +42,15 @@ impl Reply {
 }
 
 fn roundtrip(addr: std::net::SocketAddr, raw: &str) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(raw.as_bytes()).expect("send");
+    try_roundtrip(addr, raw).expect("roundtrip")
+}
+
+fn try_roundtrip(addr: std::net::SocketAddr, raw: &str) -> std::io::Result<Reply> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    stream.write_all(raw.as_bytes())?;
     let mut buffer = Vec::new();
-    stream.read_to_end(&mut buffer).expect("read");
+    stream.read_to_end(&mut buffer)?;
     let text = String::from_utf8_lossy(&buffer).into_owned();
     let (head, body) = text
         .split_once("\r\n\r\n")
@@ -63,11 +66,11 @@ fn roundtrip(addr: std::net::SocketAddr, raw: &str) -> Reply {
         .filter_map(|l| l.split_once(':'))
         .map(|(k, v)| (k.trim().to_owned(), v.trim().to_owned()))
         .collect();
-    Reply {
+    Ok(Reply {
         status,
         headers,
         body: body.to_owned(),
-    }
+    })
 }
 
 fn post_diagnose(addr: std::net::SocketAddr, ndjson: &str) -> Reply {
@@ -331,4 +334,151 @@ fn chaos_injections_are_labeled_and_contained() {
     assert_eq!(field(lines[1], "status"), Some("ok"), "line: {}", lines[1]);
 
     daemon.shutdown();
+}
+
+/// Reads whatever the daemon sends on a connection that sent nothing.
+fn read_unprompted(addr: std::net::SocketAddr) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut buffer = Vec::new();
+    stream.read_to_end(&mut buffer).expect("read");
+    String::from_utf8_lossy(&buffer).into_owned()
+}
+
+#[test]
+fn connection_cap_refuses_the_excess_and_recovers() {
+    let _gate = lock();
+    let daemon = Daemon::start(DaemonConfig {
+        max_connections: 2,
+        ..DaemonConfig::default()
+    })
+    .expect("start");
+    let addr = daemon.addr();
+
+    // Two idle connections take both slots (each handler waits up to
+    // its 2 s read timeout for a request that never comes). The accept
+    // thread admits connections in order, so the third is the excess.
+    let held: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    let refused = read_unprompted(addr);
+    assert!(
+        refused.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+        "{refused}"
+    );
+    assert!(refused.contains("\r\nRetry-After: 1\r\n"), "{refused}");
+    assert!(refused.contains("\"code\":\"overloaded\""), "{refused}");
+
+    // Closing the held connections frees their slots (and parks their
+    // handlers); a request is then served.
+    // Until the handlers notice, a request may still be refused; the
+    // refusal does not read the request, so the client may see a reset
+    // or broken pipe instead of the 503.
+    drop(held);
+    let line = format!("{}\n", s27_line("after"));
+    let raw = format!(
+        "POST /diagnose HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{line}",
+        line.len()
+    );
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        match try_roundtrip(addr, &raw) {
+            Ok(reply) if reply.status == 200 => {
+                assert_eq!(field(&reply.body, "status"), Some("ok"), "{}", reply.body);
+                break;
+            }
+            Ok(reply) => assert_eq!(reply.status, 503, "only the cap may refuse: {}", reply.body),
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::BrokenPipe
+                ),
+                "{e}"
+            ),
+        }
+        assert!(std::time::Instant::now() < deadline, "slots never freed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    daemon.shutdown();
+}
+
+fn counter(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
+#[test]
+fn sequential_batches_reuse_the_pool_and_are_all_counted() {
+    let _gate = lock();
+    scan_obs::init(&scan_obs::ObsConfig {
+        metrics: true,
+        ..scan_obs::ObsConfig::disabled()
+    });
+    let daemon = Daemon::start(DaemonConfig {
+        max_connections: 4,
+        ..DaemonConfig::default()
+    })
+    .expect("start");
+    let addr = daemon.addr();
+
+    let candidates = |line: &str| {
+        let start = line.find("\"candidates\":").expect("candidates");
+        let end = line[start..]
+            .find("]]")
+            .map_or(line.len(), |e| start + e + 2);
+        line[start..end].to_owned()
+    };
+    let reference = post_diagnose(addr, &format!("{}\n", s27_line("ref")));
+    assert_eq!(reference.status, 200, "{}", reference.body);
+    let want = candidates(&reference.body);
+
+    const BATCHES: usize = 120;
+    for b in 0..BATCHES {
+        let ids: Vec<String> = (0..=b % 3).map(|i| format!("seq{b}-{i}")).collect();
+        let batch: String = ids.iter().map(|id| s27_line(id) + "\n").collect();
+        let reply = post_diagnose(addr, &batch);
+        assert_eq!(reply.status, 200, "batch {b}: {}", reply.body);
+        let lines = reply.lines();
+        assert_eq!(lines.len(), ids.len(), "batch {b}: {}", reply.body);
+        for (line, id) in lines.iter().zip(&ids) {
+            assert_eq!(field(line, "id"), Some(id.as_str()), "batch {b}: {line}");
+            assert_eq!(field(line, "status"), Some("ok"), "batch {b}: {line}");
+            assert_eq!(candidates(line), want, "batch {b}: {line}");
+        }
+    }
+
+    // Handlers flush their counters after each connection. Park an idle
+    // connection on a handler that served batches, so the scrapes below
+    // land on other handlers and see only flushed counts. Scrapes count
+    // as requests too, so the exact check is on batches. The polling
+    // stops short of the 2 s read timeout that would free the parked
+    // handler.
+    std::thread::sleep(Duration::from_millis(50));
+    let hold = TcpStream::connect(addr).expect("connect");
+    let deadline = std::time::Instant::now() + Duration::from_millis(1500);
+    loop {
+        let metrics = get(addr, "/metrics").body;
+        let batches = counter(&metrics, "scanbist_daemon_batches");
+        assert!(batches <= BATCHES as u64 + 1, "{batches} batches counted");
+        if batches == BATCHES as u64 + 1 {
+            let requests = counter(&metrics, "scanbist_daemon_requests");
+            assert!(requests > BATCHES as u64, "{requests} requests counted");
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "daemon.batches stuck at {batches} of {}",
+            BATCHES + 1
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(hold);
+
+    daemon.shutdown();
+    scan_obs::reset();
 }

@@ -2,12 +2,14 @@
 //! exporters' output without any external dependency.
 //!
 //! Supports the full JSON value grammar (objects, arrays, strings with
-//! escapes, numbers, booleans, null). Numbers are parsed as `f64`;
-//! duplicate object keys keep their order (last lookup wins is not
-//! needed by any caller). This is a *reader* for self-produced and
-//! test data, not a hardened general-purpose parser — depth is bounded
-//! to keep recursion safe.
+//! escapes, numbers, booleans, null). [`parse`] builds a [`Value`]
+//! tree with numbers as `f64` (a duplicate object key keeps its last
+//! value); [`Reader`] is the pull cursor underneath it, for callers
+//! that decode straight into their own types. This is a *reader* for
+//! self-produced data and request lines, not a general-purpose parser
+//! — depth is bounded to keep recursion safe.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -102,25 +104,61 @@ impl std::error::Error for JsonError {}
 ///
 /// Returns [`JsonError`] on malformed input.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    let mut reader = Reader::new(text);
+    reader.skip_ws();
+    let value = reader.value(0)?;
+    reader.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
+/// A number token as [`Reader::number`] reads it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Number {
+    /// A plain run of digits (no sign, fraction or exponent) that fits
+    /// a `u64`, accumulated exactly.
+    Int(u64),
+    /// Any other number token, as the nearest `f64`.
+    Real(f64),
+}
+
+impl Number {
+    /// The value as the nearest `f64` — what [`parse`] stores.
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)] // round-to-nearest, as `str::parse` does
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Number::Int(n) => n as f64,
+            Number::Real(x) => x,
+        }
+    }
+}
+
+/// A pull cursor over one JSON document.
+///
+/// This is the grammar [`parse`] builds its [`Value`] tree with,
+/// exposed so a caller can decode straight into its own types: read
+/// the members it knows with [`Reader::object`], [`Reader::array`],
+/// [`Reader::string`] and [`Reader::number`], and pass everything else
+/// to [`Reader::skip_value`], which validates exactly what [`parse`]
+/// would (same depth bound, same errors at the same byte offsets)
+/// without building a tree.
+pub struct Reader<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             at: self.pos,
@@ -128,16 +166,40 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    // The per-byte helpers are `#[inline]`: the workspace builds
+    // without LTO, and the daemon's request decoder calls them from
+    // another crate once per number.
+
+    /// The next byte, without consuming it.
+    #[inline]
+    #[must_use]
+    pub fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
+    /// Skips JSON whitespace.
+    #[inline]
+    pub fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    /// Skips trailing whitespace and requires the end of the text.
+    ///
+    /// # Errors
+    ///
+    /// Fails on trailing characters after the document.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after document"))
+        }
+    }
+
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -147,39 +209,93 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, JsonError> {
-        // lint:allow(L012): cursor invariant `pos <= len` holds between calls
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+    fn literal(&mut self, text: &str) -> Result<(), JsonError> {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(text.as_bytes()) {
             self.pos += text.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected `{text}`")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
+    #[inline]
+    fn check_depth(&self, depth: usize) -> Result<(), JsonError> {
         if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
+            Err(self.err("nesting too deep"))
+        } else {
+            Ok(())
         }
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
+        self.check_depth(depth)?;
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(depth, |r, key| {
+                    let value = r.value(depth + 1)?;
+                    map.insert(key.into_owned(), value);
+                    Ok(())
+                })?;
+                Ok(Value::Object(map))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(depth, |r| {
+                    items.push(r.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'"') => Ok(Value::String(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Value::Null),
+            Some(b'-' | b'0'..=b'9') => Ok(Value::Number(self.number()?.as_f64())),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
+    /// Validates and skips one value nested `depth` levels deep (the
+    /// document itself is depth 0).
+    ///
+    /// # Errors
+    ///
+    /// Fails where [`parse`] would, including past the depth bound.
+    pub fn skip_value(&mut self, depth: usize) -> Result<(), JsonError> {
+        self.check_depth(depth)?;
+        match self.peek() {
+            Some(b'{') => self.object(depth, |r, _| r.skip_value(depth + 1)),
+            Some(b'[') => self.array(depth, |r| r.skip_value(depth + 1)),
+            Some(b'"') => self.string().map(drop),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'n') => self.literal("null"),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    /// Reads an object at `depth`, calling `member` with each key. The
+    /// callback finds the cursor on the member's value and must consume
+    /// exactly that value (nested at `depth + 1`). Keys arrive in text
+    /// order, duplicates included.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed input or when `member` fails.
+    pub fn object(
+        &mut self,
+        depth: usize,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.check_depth(depth)?;
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -187,53 +303,82 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            map.insert(key, value);
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(map));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
+    /// Reads an array at `depth`, calling `item` on each element; the
+    /// callback must consume exactly that element (nested at
+    /// `depth + 1`).
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed input or when `item` fails.
+    pub fn array(
+        &mut self,
+        depth: usize,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.check_depth(depth)?;
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string with its escapes resolved; borrowed from the text
+    /// when it has none.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a missing quote, a bad escape, a lone surrogate or a
+    /// raw control character.
+    #[inline]
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.plain_run();
+        match self.peek() {
+            Some(b'"') => {
+                let text = self.slice(start)?;
+                self.pos += 1;
+                return Ok(Cow::Borrowed(text));
+            }
+            None => return Err(self.err("unterminated string")),
+            Some(_) => {}
+        }
+        let mut out = self.slice(start)?.to_owned();
         loop {
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                b'"' => return Ok(Cow::Owned(out)),
                 b'\\' => {
                     let Some(esc) = self.peek() else {
                         return Err(self.err("unterminated escape"));
@@ -254,29 +399,38 @@ impl Parser<'_> {
                 }
                 _ if b < 0x20 => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Re-walk multi-byte UTF-8 sequences whole.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err(self.err("truncated UTF-8 sequence"));
-                    }
-                    // lint:allow(L012): `end > len` is rejected just above
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
+                    let run = self.pos - 1;
+                    self.plain_run();
+                    out.push_str(self.slice(run)?);
                 }
             }
         }
+    }
+
+    /// Advances over bytes that stand for themselves inside a string:
+    /// everything but `"`, `\` and control characters. The text is
+    /// UTF-8, so the run ends on a character boundary.
+    #[inline]
+    fn plain_run(&mut self) {
+        while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+            self.pos += 1;
+        }
+    }
+
+    /// The text from `start` to the cursor.
+    #[inline]
+    fn slice(&self, start: usize) -> Result<&'a str, JsonError> {
+        self.text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid UTF-8 in string"))
     }
 
     fn unicode_escape(&mut self) -> Result<char, JsonError> {
         let code = self.hex4()?;
         // Surrogate pair handling for completeness.
         if (0xD800..0xDC00).contains(&code) {
-            // lint:allow(L012): cursor invariant `pos <= len` holds between calls
-            if self.bytes[self.pos..].starts_with(b"\\u") {
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            if rest.starts_with(b"\\u") {
                 self.pos += 2;
                 let low = self.hex4()?;
                 if (0xDC00..0xE000).contains(&low) {
@@ -307,13 +461,33 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
+    /// Reads a number token: `-`? digits (`.` digits)? (`e` sign?
+    /// digits)?, as [`parse`] accepts it. A plain run of digits that
+    /// fits a `u64` comes back exact, without a float round-trip.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the token is not a number (`-`, `1e`, …).
+    #[inline]
+    pub fn number(&mut self) -> Result<Number, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let signed = self.peek() == Some(b'-');
+        if signed {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let digits = self.pos;
+        let mut value = 0u64;
+        let mut overflow = false;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            let (shifted, o1) = value.overflowing_mul(10);
+            let (sum, o2) = shifted.overflowing_add(u64::from(d - b'0'));
+            value = sum;
+            overflow |= o1 | o2;
             self.pos += 1;
+        }
+        let plain = !signed && !overflow && self.pos > digits;
+        if plain && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return Ok(Number::Int(value));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -330,21 +504,11 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        // lint:allow(L012): `start <= pos <= len` — both are cursor positions
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("invalid number"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
+        self.text
+            .get(start..self.pos)
+            .and_then(|text| text.parse::<f64>().ok())
+            .map(Number::Real)
+            .ok_or_else(|| self.err("invalid number"))
     }
 }
 
@@ -386,9 +550,75 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "\"\\x\"", "\"\u{1}\""] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "tru",
+            "1 2",
+            "\"\\x\"",
+            "\"\u{1}\"",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn reader_skips_exactly_what_parse_accepts() {
+        let cases = [
+            r#"{"a":[1,2,{"b":null}],"c":"x\u00e9"}"#,
+            "[[[[]]]]",
+            "-0.5e2",
+            "01",
+            "1.",
+            "-",
+            "1e",
+            "[1,]",
+            "{\"a\" 1}",
+            "\"\\ud800\"",
+            "\"tab\there\"",
+        ];
+        for text in cases {
+            let mut reader = Reader::new(text);
+            reader.skip_ws();
+            let skipped = reader.skip_value(0).and_then(|()| reader.finish());
+            assert_eq!(skipped.err(), parse(text).err(), "{text:?}");
+        }
+        let deep = "[".repeat(66) + &"]".repeat(66);
+        let mut reader = Reader::new(&deep);
+        assert_eq!(reader.skip_value(0).err(), parse(&deep).err());
+    }
+
+    #[test]
+    fn reader_numbers_are_exact_for_plain_digits() {
+        let read = |text: &str| Reader::new(text).number();
+        assert_eq!(
+            read("9007199254740993"),
+            Ok(Number::Int(9_007_199_254_740_993))
+        );
+        assert_eq!(read("18446744073709551615"), Ok(Number::Int(u64::MAX)));
+        assert_eq!(
+            read("18446744073709551616"),
+            Ok(Number::Real(18_446_744_073_709_551_616.0))
+        );
+        assert_eq!(read("007"), Ok(Number::Int(7)));
+        assert_eq!(read("16.0"), Ok(Number::Real(16.0)));
+        assert_eq!(read("-0"), Ok(Number::Real(-0.0)));
+        assert!(read("-").is_err());
+        // The DOM stores the nearest double either way.
+        assert_eq!(
+            parse("9007199254740993").unwrap(),
+            Value::Number(9_007_199_254_740_992.0)
+        );
+    }
+
+    #[test]
+    fn reader_strings_borrow_unless_escaped() {
+        let mut reader = Reader::new(r#""plain é""#);
+        assert!(matches!(reader.string(), Ok(Cow::Borrowed("plain é"))));
+        let mut reader = Reader::new(r#""a\nb""#);
+        assert!(matches!(reader.string(), Ok(Cow::Owned(s)) if s == "a\nb"));
     }
 
     #[test]
