@@ -13,11 +13,11 @@
 //!
 //! * [`queue`] — the bounded admission queue. Full means `429` +
 //!   `Retry-After`, never an unbounded buffer.
-//! * [`server`] — the daemon itself: worker pool, per-batch deadlines
-//!   with cooperative cancellation ([`scan_diagnosis::CancelToken`]),
-//!   quality-shedding tiers (robust replay degrades to single-pass
-//!   before anything is refused), single-flight plan [`cache`], and
-//!   drain-on-shutdown.
+//! * [`server`] — the daemon itself: pooled connection handlers, a
+//!   worker pool, per-batch deadlines with cooperative cancellation
+//!   ([`scan_diagnosis::CancelToken`]), quality-shedding tiers (robust
+//!   replay degrades to single-pass before anything is refused),
+//!   single-flight plan [`cache`], and drain-on-shutdown.
 //! * [`http`] — a deliberately strict HTTP/1.1 parser (no chunked
 //!   bodies, no duplicate `Content-Length`, no header injection).
 //! * [`chaos`] — the `SCANBIST_CHAOS` fault-injection layer, keyed per
