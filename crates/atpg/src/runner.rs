@@ -1,7 +1,7 @@
 //! Whole-fault-list ATPG with fault-simulation-based pattern dropping.
 
 use scan_netlist::{Netlist, ScanView};
-use scan_sim::{Fault, FaultSimulator, FaultUniverse, PatternSet};
+use scan_sim::{Fault, FaultUniverse, PatternSet, PpsfpSimulator};
 
 use crate::pattern::TestPattern;
 use crate::podem::{Podem, PodemLimits, PodemResult};
@@ -81,10 +81,10 @@ pub fn run_atpg(netlist: &Netlist, limits: &PodemLimits, x_fill_seed: u64) -> At
                 // still-alive faults.
                 let (pi, state) = cube.x_fill(x_fill_seed.wrapping_add(patterns.len() as u64));
                 let pattern_set = single_pattern_set(netlist, &pi, &state);
-                let fsim = FaultSimulator::new(netlist, &view, &pattern_set)
+                let mut psim = PpsfpSimulator::new(netlist, &view, &pattern_set)
                     .expect("pattern set shaped for the netlist");
                 for (j, fault) in faults.iter().enumerate() {
-                    if alive[j] && fsim.is_detected(fault) {
+                    if alive[j] && psim.detects(fault) {
                         alive[j] = false;
                         detected += 1;
                     }

@@ -10,15 +10,15 @@ use scan_diagnosis::{
     diagnose, lfsr_patterns, prune_by_cover, BistConfig, ChainLayout, DiagnosisPlan,
 };
 use scan_netlist::{generate, ScanView};
-use scan_sim::{ErrorMap, FaultSimulator};
+use scan_sim::{ErrorMap, PpsfpSimulator};
 
 fn prepared_error_map() -> (usize, ErrorMap) {
     let circuit = generate::benchmark("s5378");
     let view = ScanView::natural(&circuit, true);
     let patterns = lfsr_patterns(&circuit, 128, 0xACE1);
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
-    let fault = fsim.sample_detected_faults(1, 2003)[0];
-    (view.len(), fsim.error_map(&fault))
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+    let (_, errors) = psim.sample_detected_with_maps(1, 2003).remove(0);
+    (view.len(), errors)
 }
 
 fn bench_plan_construction(b: &Bench) {

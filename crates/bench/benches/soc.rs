@@ -9,7 +9,7 @@ use std::hint::black_box;
 use scan_bench::timing::Bench;
 use scan_bist::Scheme;
 use scan_diagnosis::{diagnose, CampaignSpec, ChainLayout, DiagnosisPlan, PreparedCampaign};
-use scan_sim::FaultSimulator;
+use scan_sim::PpsfpSimulator;
 use scan_soc::d695;
 
 fn bench_soc_construction(b: &Bench) {
@@ -48,16 +48,15 @@ fn bench_meta_chain_diagnosis(b: &Bench) {
     let soc = d695::soc1().expect("SOC 1 builds");
     let core = &soc.cores()[0];
     let patterns = scan_diagnosis::lfsr_patterns(core.netlist(), 128, 0xACE1);
-    let fsim = FaultSimulator::new(core.netlist(), core.view(), &patterns).expect("shapes");
-    let fault = fsim.sample_detected_faults(1, 1)[0];
+    let mut psim = PpsfpSimulator::new(core.netlist(), core.view(), &patterns).expect("shapes");
+    let (_, errors) = psim.sample_detected_with_maps(1, 1).remove(0);
     let mut local_to_global = vec![usize::MAX; core.view().len()];
     for (global, (cell, _, _)) in soc.layout().into_iter().enumerate() {
         if cell.core == 0 {
             local_to_global[cell.local as usize] = global;
         }
     }
-    let bits: Vec<(usize, usize)> = fsim
-        .error_map(&fault)
+    let bits: Vec<(usize, usize)> = errors
         .iter_bits()
         .map(|(pos, pat)| (local_to_global[pos], pat))
         .collect();

@@ -11,7 +11,7 @@ use scan_bist::Scheme;
 use scan_diagnosis::chain_mask::{analyze_chain_masked, diagnose_chain_masked};
 use scan_diagnosis::{diagnose, BistConfig, ChainLayout, DiagnosisPlan, DrAccumulator};
 use scan_netlist::generate::SIX_LARGEST;
-use scan_sim::FaultSimulator;
+use scan_sim::PpsfpSimulator;
 use scan_soc::d695;
 
 fn main() {
@@ -43,9 +43,9 @@ fn main() {
             .prpg_seed
             .wrapping_add((core_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let patterns = scan_diagnosis::lfsr_patterns(core.netlist(), spec.num_patterns, core_seed);
-        let fsim =
-            FaultSimulator::new(core.netlist(), core.view(), &patterns).expect("shapes match");
-        let faults = fsim.sample_detected_faults(200, spec.fault_seed);
+        let mut psim =
+            PpsfpSimulator::new(core.netlist(), core.view(), &patterns).expect("shapes match");
+        let cases = psim.sample_detected_with_maps(200, spec.fault_seed);
         // Local→global mapping for this core.
         let mut local_to_global = vec![usize::MAX; core.view().len()];
         for (global, (cell, _, _)) in soc.layout().into_iter().enumerate() {
@@ -55,8 +55,7 @@ fn main() {
         }
         let mut base_acc = DrAccumulator::new();
         let mut mask_acc = DrAccumulator::new();
-        for fault in &faults {
-            let errors = fsim.error_map(fault);
+        for (_, errors) in &cases {
             let bits: Vec<(usize, usize)> = errors
                 .iter_bits()
                 .map(|(pos, pat)| (local_to_global[pos], pat))

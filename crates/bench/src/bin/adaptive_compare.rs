@@ -15,7 +15,7 @@ use scan_diagnosis::{
     diagnose, lfsr_patterns, BistConfig, ChainLayout, DiagnosisPlan, DrAccumulator, ResponseModel,
 };
 use scan_netlist::{generate, ScanView};
-use scan_sim::FaultSimulator;
+use scan_sim::PpsfpSimulator;
 
 fn main() {
     let (obs, _rest) = ObsSession::start("adaptive_compare");
@@ -23,12 +23,12 @@ fn main() {
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;
     let patterns = lfsr_patterns(&circuit, num_patterns, 0xACE1);
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
-    let faults = fsim.sample_detected_faults(300, 2003);
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+    let cases = psim.sample_detected_with_maps(300, 2003);
     println!(
         "Adaptive binary search vs partition-based diagnosis — s5378 ({} cells), {} faults",
         view.len(),
-        faults.len()
+        cases.len()
     );
     println!();
 
@@ -47,8 +47,7 @@ fn main() {
         )
         .expect("plan builds");
         let mut acc = DrAccumulator::new();
-        for fault in &faults {
-            let errors = fsim.error_map(fault);
+        for (_, errors) in &cases {
             let outcome = plan.analyze(errors.iter_bits());
             let diag = diagnose(&plan, &outcome);
             acc.add(diag.num_candidates(), errors.failing_positions().len());
@@ -67,15 +66,14 @@ fn main() {
             .expect("model builds");
         let mut acc = DrAccumulator::new();
         let mut total_sessions = 0usize;
-        for fault in &faults {
-            let errors = fsim.error_map(fault);
+        for (_, errors) in &cases {
             let outcome = adaptive_binary_search(&model, errors.iter_bits(), budget);
             total_sessions += outcome.sessions_used;
             acc.add(outcome.candidates.len(), errors.failing_positions().len());
         }
         rows.push(vec![
             format!("adaptive (budget {budget})"),
-            format!("{:.0}", total_sessions as f64 / faults.len() as f64),
+            format!("{:.0}", total_sessions as f64 / cases.len() as f64),
             "adaptive".to_owned(),
             format!("{:.3}", acc.dr()),
         ]);

@@ -13,7 +13,7 @@ use scan_bist::Scheme;
 use scan_diagnosis::{diagnose, lfsr_patterns, BistConfig, ChainLayout, DiagnosisPlan};
 use scan_netlist::{generate, ScanView};
 use scan_sim::chain_fault::flush_observation;
-use scan_sim::{locate_chain_fault, simulate_chain_fault, ChainFault, FaultSimulator};
+use scan_sim::{locate_chain_fault, simulate_chain_fault, ChainFault, PpsfpSimulator};
 
 fn main() {
     let (obs, _rest) = ObsSession::start("chain_defects");
@@ -47,7 +47,7 @@ fn main() {
     println!();
 
     // (b) What logic diagnosis sees if the flush step is skipped.
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+    let psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
     let plan = DiagnosisPlan::new(
         ChainLayout::single_chain(view.len()),
         128,
@@ -62,7 +62,7 @@ fn main() {
         };
         let observed =
             simulate_chain_fault(&circuit, &view, &patterns, &fault).expect("shapes match");
-        let errors = observed.xor(fsim.golden());
+        let errors = observed.xor(psim.golden());
         let failing = errors.failing_positions().len();
         let outcome = plan.analyze(errors.iter_bits());
         let diag = diagnose(&plan, &outcome);

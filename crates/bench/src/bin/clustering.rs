@@ -7,7 +7,7 @@
 use scan_bench::ObsSession;
 use scan_netlist::stats::ClusteringStats;
 use scan_netlist::{generate, ScanView};
-use scan_sim::FaultSimulator;
+use scan_sim::PpsfpSimulator;
 
 fn main() {
     let (obs, _rest) = ObsSession::start("clustering");
@@ -25,12 +25,12 @@ fn main() {
         // Dynamic check: mean span of actually failing cells over a
         // fault sample.
         let patterns = scan_diagnosis::lfsr_patterns(&circuit, 64, 0xACE1);
-        let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
-        let faults = fsim.sample_detected_faults(100, 2003);
+        let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+        let cases = psim.sample_detected_with_maps(100, 2003);
         let mut spans = 0usize;
         let mut counted = 0usize;
-        for fault in &faults {
-            let failing = fsim.error_map(fault).failing_positions();
+        for (_, errors) in &cases {
+            let failing = errors.failing_positions();
             if let (Some(min), Some(max)) = (failing.first(), failing.iter().last()) {
                 spans += max - min + 1;
                 counted += 1;

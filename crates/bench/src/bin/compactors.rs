@@ -21,6 +21,7 @@ fn main() {
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;
     let patterns = lfsr_patterns(&circuit, num_patterns, 0xACE1);
+    // Reference oracle: the compactors replay whole faulty responses, which only it returns.
     let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
     let faults = fsim.sample_detected_faults(200, 2003);
     let plan = DiagnosisPlan::new(

@@ -5,7 +5,7 @@
 use scan_bench::{render_table, ObsSession};
 use scan_diagnosis::lfsr_patterns;
 use scan_netlist::{generate, ScanView};
-use scan_sim::{FaultSimulator, FaultUniverse};
+use scan_sim::{FaultUniverse, PpsfpSimulator};
 
 fn main() {
     let (obs, _rest) = ObsSession::start("coverage");
@@ -20,11 +20,11 @@ fn main() {
         let mut cells = vec![name.to_owned(), universe.len().to_string()];
         for &n in &budgets {
             let patterns = lfsr_patterns(&circuit, n, 0xACE1);
-            let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+            let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
             let detected = universe
                 .faults()
                 .iter()
-                .filter(|f| fsim.is_detected(f))
+                .filter(|f| psim.detects(f))
                 .count();
             cells.push(format!(
                 "{:.1}%",

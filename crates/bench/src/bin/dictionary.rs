@@ -11,7 +11,7 @@ use scan_bist::Scheme;
 use scan_diagnosis::dictionary::FaultDictionary;
 use scan_diagnosis::{lfsr_patterns, BistConfig, ChainLayout, DiagnosisPlan};
 use scan_netlist::{generate, ScanView};
-use scan_sim::FaultSimulator;
+use scan_sim::PpsfpSimulator;
 
 fn main() {
     let (obs, _rest) = ObsSession::start("dictionary");
@@ -19,11 +19,11 @@ fn main() {
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;
     let patterns = lfsr_patterns(&circuit, num_patterns, 0xACE1);
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
-    let faults = fsim.sample_detected_faults(400, 2003);
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+    let cases = psim.sample_detected_with_maps(400, 2003);
     println!(
         "Fault dictionary resolution — s953, {} faults, 4 groups/partition",
-        faults.len()
+        cases.len()
     );
     println!();
     let mut rows = Vec::new();
@@ -35,7 +35,7 @@ fn main() {
                 &BistConfig::new(4, partitions, scheme),
             )
             .expect("plan builds");
-            let dict = FaultDictionary::build(&plan, &fsim, &faults);
+            let dict = FaultDictionary::build(&plan, &cases);
             rows.push(vec![
                 partitions.to_string(),
                 scheme.name().to_owned(),

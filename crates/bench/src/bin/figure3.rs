@@ -10,14 +10,14 @@ use scan_bench::ObsSession;
 use scan_bist::Scheme;
 use scan_diagnosis::{diagnose, BistConfig, ChainLayout, DiagnosisPlan};
 use scan_netlist::{generate, ScanView};
-use scan_sim::{ErrorMap, FaultSimulator};
+use scan_sim::{ErrorMap, PpsfpSimulator};
 
 fn main() {
     let (obs, _rest) = ObsSession::start("figure3");
     let circuit = generate::benchmark("s953");
     let view = ScanView::natural(&circuit, true);
     let patterns = scan_diagnosis::lfsr_patterns(&circuit, 200, 0xACE1);
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
 
     // Find a fault and a detecting pattern with a small cluster of
     // failing cells, like the paper's example (2 failing cells). The
@@ -30,11 +30,10 @@ fn main() {
     )
     .expect("plan builds");
     let interval_partition = &interval_plan.partitions()[0];
-    let sample = fsim.sample_detected_faults(200, 2003);
+    let sample = psim.sample_detected_with_maps(200, 2003);
     let mut chosen: Option<(scan_sim::Fault, usize, Vec<usize>)> = None;
-    'outer: for fault in &sample {
-        let errors = fsim.error_map(fault);
-        for pattern in 0..patterns_detecting(&errors) {
+    'outer: for (fault, errors) in &sample {
+        for pattern in 0..patterns_detecting(errors) {
             let cells: Vec<usize> = (0..view.len())
                 .filter(|&pos| errors.bit(pos, pattern))
                 .collect();

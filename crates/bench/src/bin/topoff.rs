@@ -11,7 +11,7 @@ use scan_atpg::{run_atpg, Podem, PodemLimits, PodemResult};
 use scan_bench::{render_table, ObsSession};
 use scan_diagnosis::lfsr_patterns;
 use scan_netlist::{generate, ScanView};
-use scan_sim::{FaultSimulator, FaultUniverse};
+use scan_sim::{FaultUniverse, PpsfpSimulator};
 
 fn main() {
     let (obs, _rest) = ObsSession::start("topoff");
@@ -25,11 +25,11 @@ fn main() {
 
         // Pseudorandom BIST session.
         let patterns = lfsr_patterns(&circuit, 128, 0xACE1);
-        let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+        let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
         let random_detected: Vec<bool> = universe
             .faults()
             .iter()
-            .map(|f| fsim.is_detected(f))
+            .map(|f| psim.detects(f))
             .collect();
         let random_cov =
             random_detected.iter().filter(|&&d| d).count() as f64 / universe.len().max(1) as f64;

@@ -9,7 +9,7 @@
 use scan_bench::{fmt_dr, render_table, ObsSession};
 use scan_bist::Scheme;
 use scan_diagnosis::{diagnose, BistConfig, ChainLayout, DiagnosisPlan, DrAccumulator};
-use scan_sim::FaultSimulator;
+use scan_sim::PpsfpSimulator;
 use scan_soc::d695;
 
 fn main() {
@@ -37,9 +37,9 @@ fn main() {
     for (index, core) in soc.cores().iter().enumerate() {
         let seed = 0xACE1u64.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let patterns = scan_diagnosis::lfsr_patterns(core.netlist(), num_patterns, seed);
-        let fsim =
-            FaultSimulator::new(core.netlist(), core.view(), &patterns).expect("shapes match");
-        let faults = fsim.sample_detected_faults(cases, 2003);
+        let mut psim =
+            PpsfpSimulator::new(core.netlist(), core.view(), &patterns).expect("shapes match");
+        let sampled = psim.sample_detected_with_maps(cases, 2003);
         let mut local_to_global = vec![usize::MAX; core.view().len()];
         for (global, (cell, _, _)) in soc.layout().into_iter().enumerate() {
             if cell.core as usize == index {
@@ -47,10 +47,10 @@ fn main() {
             }
         }
         per_core.push(
-            faults
+            sampled
                 .iter()
-                .map(|f| {
-                    fsim.error_map(f)
+                .map(|(_, errors)| {
+                    errors
                         .iter_bits()
                         .map(|(pos, pat)| (local_to_global[pos], pat))
                         .collect()

@@ -12,7 +12,7 @@ use scan_bist::Scheme;
 use scan_diagnosis::vector_diag::{actual_failing_vectors, VectorDiagnosisPlan};
 use scan_diagnosis::{lfsr_patterns, ChainLayout, DrAccumulator, ResponseModel};
 use scan_netlist::{generate, ScanView};
-use scan_sim::FaultSimulator;
+use scan_sim::PpsfpSimulator;
 
 fn main() {
     let (obs, _rest) = ObsSession::start("vectors");
@@ -25,8 +25,8 @@ fn main() {
         let circuit = generate::benchmark(name);
         let view = ScanView::natural(&circuit, true);
         let patterns = lfsr_patterns(&circuit, 128, 0xACE1);
-        let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
-        let faults = fsim.sample_detected_faults(300, 2003);
+        let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+        let cases = psim.sample_detected_with_maps(300, 2003);
 
         let mut drs = Vec::new();
         for scheme in [
@@ -38,8 +38,7 @@ fn main() {
                 .expect("model builds");
             let plan = VectorDiagnosisPlan::new(model, 8, 4, scheme, 16, 1).expect("plan builds");
             let mut acc = DrAccumulator::new();
-            for fault in &faults {
-                let errors = fsim.error_map(fault);
+            for (_, errors) in &cases {
                 let bits: Vec<(usize, usize)> = errors.iter_bits().collect();
                 let outcome = plan.analyze(bits.iter().copied());
                 let candidates = plan.diagnose(&outcome);

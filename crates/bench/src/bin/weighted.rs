@@ -11,7 +11,7 @@ use scan_bench::{render_table, ObsSession};
 use scan_diagnosis::lfsr_patterns;
 use scan_netlist::scoap::suggested_input_weights;
 use scan_netlist::{generate, ScanView};
-use scan_sim::{FaultSimulator, FaultUniverse, PatternSet};
+use scan_sim::{FaultUniverse, PatternSet, PpsfpSimulator};
 
 fn main() {
     let (obs, _rest) = ObsSession::start("weighted");
@@ -25,11 +25,11 @@ fn main() {
         let view = ScanView::natural(&circuit, true);
         let universe = FaultUniverse::collapsed(&circuit);
         let coverage = |patterns: &PatternSet| -> f64 {
-            let fsim = FaultSimulator::new(&circuit, &view, patterns).expect("shapes match");
+            let mut psim = PpsfpSimulator::new(&circuit, &view, patterns).expect("shapes match");
             let detected = universe
                 .faults()
                 .iter()
-                .filter(|f| fsim.is_detected(f))
+                .filter(|f| psim.detects(f))
                 .count();
             100.0 * detected as f64 / universe.len().max(1) as f64
         };

@@ -11,7 +11,7 @@ use scan_bist::Scheme;
 use scan_diagnosis::windows::analyze_windows;
 use scan_diagnosis::{lfsr_patterns, BistConfig, ChainLayout, DiagnosisPlan, DrAccumulator};
 use scan_netlist::{generate, ScanView};
-use scan_sim::FaultSimulator;
+use scan_sim::PpsfpSimulator;
 
 fn main() {
     let (obs, _rest) = ObsSession::start("windows");
@@ -19,8 +19,8 @@ fn main() {
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;
     let patterns = lfsr_patterns(&circuit, num_patterns, 0xACE1);
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
-    let faults = fsim.sample_detected_faults(300, 2003);
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+    let cases = psim.sample_detected_with_maps(300, 2003);
     let plan = DiagnosisPlan::new(
         ChainLayout::single_chain(view.len()),
         num_patterns,
@@ -29,15 +29,14 @@ fn main() {
     .expect("plan builds");
     println!(
         "Windowed signatures — s5378, {} faults, two-step 4×8 sessions, {} patterns",
-        faults.len(),
+        cases.len(),
         num_patterns
     );
     println!();
     let mut rows = Vec::new();
     for window in [128usize, 32, 16, 8, 4, 1] {
         let mut acc = DrAccumulator::new();
-        for fault in &faults {
-            let errors = fsim.error_map(fault);
+        for (_, errors) in &cases {
             let bits: Vec<(usize, usize)> = errors.iter_bits().collect();
             let outcome = analyze_windows(&plan, window, bits.iter().copied());
             let candidates = outcome.candidate_vectors();

@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use scan_bist::Scheme;
-use scan_sim::SimEngine;
 
 /// A parsed `scanbist` invocation.
 #[derive(Clone, PartialEq, Debug)]
@@ -50,8 +49,6 @@ pub enum Command {
         /// Diagnose one named fault (`NET/SA0` or `NET/SA1`) and print
         /// its full evidence trail instead of running a campaign.
         fault: Option<String>,
-        /// Fault-simulation engine preparing the campaign.
-        engine: SimEngine,
     },
     /// `scanbist soc <descriptor.soc> --faulty <core> [options]` — SOC
     /// diagnosis with one faulty core.
@@ -66,8 +63,6 @@ pub enum Command {
         partitions: usize,
         /// Partitioning scheme.
         scheme: Scheme,
-        /// Fault-simulation engine preparing the campaign.
-        engine: SimEngine,
     },
     /// `scanbist noise <circuit> [options]` — fault-tolerant diagnosis
     /// campaign under injected verdict noise (see
@@ -103,8 +98,6 @@ pub enum Command {
         retries: usize,
         /// Worker threads (`0` = one per available core).
         threads: usize,
-        /// Fault-simulation engine preparing the campaign.
-        engine: SimEngine,
     },
     /// `scanbist bench [options]` — calibrated performance kernels
     /// with baseline comparison (see `docs/BENCHMARKS.md`).
@@ -215,16 +208,6 @@ fn scheme_from(name: &str) -> Result<Scheme, ParseArgsError> {
         "fixed" => Ok(Scheme::FixedInterval),
         other => Err(ParseArgsError(format!(
             "unknown scheme `{other}` (expected two-step|random|interval|fixed)"
-        ))),
-    }
-}
-
-fn engine_from(name: &str) -> Result<SimEngine, ParseArgsError> {
-    match name {
-        "bitpar" => Ok(SimEngine::BitParallel),
-        "event" => Ok(SimEngine::EventDriven),
-        other => Err(ParseArgsError(format!(
-            "unknown engine `{other}` (expected bitpar|event)"
         ))),
     }
 }
@@ -440,7 +423,6 @@ where
     let mut faults = 100usize;
     let mut scheme = Scheme::TWO_STEP_DEFAULT;
     let mut fault = None;
-    let mut engine = SimEngine::default();
     while let Some(flag) = words.next() {
         match flag {
             "--groups" => groups = parse_num(take_value(flag, &mut words)?)?,
@@ -449,7 +431,6 @@ where
             "--faults" => faults = parse_num(take_value(flag, &mut words)?)?,
             "--scheme" => scheme = scheme_from(take_value(flag, &mut words)?)?,
             "--fault" => fault = Some(take_value(flag, &mut words)?.to_owned()),
-            "--engine" => engine = engine_from(take_value(flag, &mut words)?)?,
             other => return Err(unknown_flag(other)),
         }
     }
@@ -461,7 +442,6 @@ where
         faults,
         scheme,
         fault,
-        engine,
     })
 }
 
@@ -474,14 +454,12 @@ where
     let mut groups = 16u16;
     let mut partitions = 8usize;
     let mut scheme = Scheme::TWO_STEP_DEFAULT;
-    let mut engine = SimEngine::default();
     while let Some(flag) = words.next() {
         match flag {
             "--faulty" => faulty = Some(take_value(flag, &mut words)?.to_owned()),
             "--groups" => groups = parse_num(take_value(flag, &mut words)?)?,
             "--partitions" => partitions = parse_num(take_value(flag, &mut words)?)?,
             "--scheme" => scheme = scheme_from(take_value(flag, &mut words)?)?,
-            "--engine" => engine = engine_from(take_value(flag, &mut words)?)?,
             other => return Err(unknown_flag(other)),
         }
     }
@@ -492,7 +470,6 @@ where
         groups,
         partitions,
         scheme,
-        engine,
     })
 }
 
@@ -515,7 +492,6 @@ where
     let mut votes = 3usize;
     let mut retries = 2usize;
     let mut threads = 0usize;
-    let mut engine = SimEngine::default();
     while let Some(flag) = words.next() {
         match flag {
             "--groups" => groups = parse_num(take_value(flag, &mut words)?)?,
@@ -532,7 +508,6 @@ where
             "--votes" => votes = parse_num(take_value(flag, &mut words)?)?,
             "--retries" => retries = parse_num(take_value(flag, &mut words)?)?,
             "--threads" => threads = parse_num(take_value(flag, &mut words)?)?,
-            "--engine" => engine = engine_from(take_value(flag, &mut words)?)?,
             other => return Err(unknown_flag(other)),
         }
     }
@@ -552,7 +527,6 @@ where
         votes,
         retries,
         threads,
-        engine,
     })
 }
 
@@ -793,18 +767,14 @@ COMMANDS:
   scanbist diagnose <circuit> [--groups G] [--partitions P]
                     [--patterns N] [--faults F]
                     [--scheme two-step|random|interval|fixed]
-                    [--engine bitpar|event]   (fault-sim engine;
-                    bitpar = 64-wide bit-parallel PPSFP, the default;
-                    event = event-driven reference — bit-identical)
                     [--fault NET/SA0]   (single-fault evidence report)
   scanbist soc <file.soc> --faulty <core> [--groups G]
-                    [--partitions P] [--scheme ...] [--engine ...]
+                    [--partitions P] [--scheme ...]
   scanbist noise <circuit> [--groups G] [--partitions P]
                     [--patterns N] [--faults F] [--scheme ...]
                     [--flip R] [--dropout R] [--intermittent R]
                     [--miss R] [--xcorrupt R] [--seed S]
                     [--votes V] [--retries R] [--threads T]
-                    [--engine bitpar|event]
                     (fault-tolerant campaign under verdict noise;
                     --audit-out writes retry/vote/fallback events)
   scanbist bench [--suite NAME] [--quick] [--repeats N] [--warmup N]
@@ -876,38 +846,8 @@ mod tests {
                 faults: 250,
                 scheme: Scheme::RandomSelection,
                 fault: None,
-                engine: SimEngine::BitParallel,
             }
         );
-    }
-
-    #[test]
-    fn parses_engine_flag() {
-        let cmd = parse_args(["diagnose", "s27", "--engine", "event"]).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Diagnose {
-                engine: SimEngine::EventDriven,
-                ..
-            }
-        ));
-        let cmd = parse_args(["noise", "s27", "--engine", "bitpar"]).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Noise {
-                engine: SimEngine::BitParallel,
-                ..
-            }
-        ));
-        let cmd = parse_args(["soc", "chip.soc", "--faulty", "c", "--engine", "event"]).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Soc {
-                engine: SimEngine::EventDriven,
-                ..
-            }
-        ));
-        assert!(parse_args(["diagnose", "s27", "--engine", "psychic"]).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use scan_diagnosis::{
 };
 use scan_netlist::stats::{ClusteringStats, GateCensus};
 use scan_netlist::{generate, GateKind, Netlist, ScanView};
-use scan_sim::{FaultSimulator, FaultUniverse, PpsfpSimulator};
+use scan_sim::{FaultUniverse, PpsfpSimulator};
 use scan_soc::SocDescriptor;
 
 use crate::args::{Command, Invocation, HELP};
@@ -169,7 +169,6 @@ fn execute<W: Write>(
             faults,
             scheme,
             fault,
-            engine,
         } => {
             let netlist = load(circuit)?;
             if let Some(spec_text) = fault {
@@ -192,7 +191,6 @@ fn execute<W: Write>(
             }
             let mut spec = CampaignSpec::new(*patterns, *groups, *partitions);
             spec.num_faults = *faults;
-            spec.engine = *engine;
             let campaign =
                 PreparedCampaign::from_circuit(&netlist, &spec).map_err(|e| e.to_string())?;
             let report = campaign.run(*scheme).map_err(|e| e.to_string())?;
@@ -232,7 +230,6 @@ fn execute<W: Write>(
             groups,
             partitions,
             scheme,
-            engine,
         } => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
@@ -243,7 +240,6 @@ fn execute<W: Write>(
                 .ok_or_else(|| format!("no core named `{faulty}` in {}", soc.name()))?;
             let mut spec = CampaignSpec::new(128, *groups, *partitions);
             spec.num_faults = 100;
-            spec.engine = *engine;
             let campaign =
                 PreparedCampaign::from_soc(&soc, core, &spec).map_err(|e| e.to_string())?;
             let report = campaign.run(*scheme).map_err(|e| e.to_string())?;
@@ -294,12 +290,10 @@ fn execute<W: Write>(
             votes,
             retries,
             threads,
-            engine,
         } => {
             let netlist = load(circuit)?;
             let mut spec = CampaignSpec::new(*patterns, *groups, *partitions);
             spec.num_faults = *faults;
-            spec.engine = *engine;
             let campaign =
                 PreparedCampaign::from_circuit(&netlist, &spec).map_err(|e| e.to_string())?;
             let mut config = NoiseConfig::noiseless(*seed);
@@ -661,8 +655,8 @@ fn diagnose_single_fault<W: Write>(
 
     let view = ScanView::natural(netlist, true);
     let pattern_set = lfsr_patterns(netlist, patterns, 0xACE1);
-    let fsim = FaultSimulator::new(netlist, &view, &pattern_set).map_err(|e| e.to_string())?;
-    let errors = fsim.error_map(&fault);
+    let mut psim = PpsfpSimulator::new(netlist, &view, &pattern_set).map_err(|e| e.to_string())?;
+    let errors = psim.error_map(&fault);
     if !errors.is_detected() {
         writeln!(
             out,

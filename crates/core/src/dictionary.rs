@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use scan_sim::{Fault, FaultSimulator};
+use scan_sim::{ErrorMap, Fault};
 
 use crate::session::{DiagnosisPlan, SessionOutcome};
 
@@ -34,14 +34,15 @@ pub struct FaultDictionary {
 }
 
 impl FaultDictionary {
-    /// Simulates every fault in `faults` under `plan` and records both
-    /// the exact-signature and the pass/fail syndromes.
+    /// Replays every fault's error map under `plan` and records both
+    /// the exact-signature and the pass/fail syndromes. `cases` is the
+    /// shape `PpsfpSimulator::sample_detected_with_maps` returns.
     #[must_use]
-    pub fn build(plan: &DiagnosisPlan, fsim: &FaultSimulator<'_>, faults: &[Fault]) -> Self {
+    pub fn build(plan: &DiagnosisPlan, cases: &[(Fault, ErrorMap)]) -> Self {
         let mut exact: BTreeMap<Vec<u64>, Vec<Fault>> = BTreeMap::new();
         let mut passfail: BTreeMap<Vec<u64>, Vec<Fault>> = BTreeMap::new();
-        for &fault in faults {
-            let outcome = plan.analyze(fsim.error_map(&fault).iter_bits());
+        for &(fault, ref errors) in cases {
+            let outcome = plan.analyze(errors.iter_bits());
             exact
                 .entry(Self::exact_key(plan, &outcome))
                 .or_default()
@@ -54,7 +55,7 @@ impl FaultDictionary {
         FaultDictionary {
             exact,
             passfail,
-            total: faults.len(),
+            total: cases.len(),
         }
     }
 
@@ -147,7 +148,7 @@ mod tests {
     use crate::session::BistConfig;
     use scan_bist::Scheme;
     use scan_netlist::{bench, ScanView};
-    use scan_sim::PatternSet;
+    use scan_sim::{PatternSet, PpsfpSimulator};
 
     fn setup() -> (scan_netlist::Netlist, ScanView, PatternSet) {
         let n = bench::s27();
@@ -159,18 +160,18 @@ mod tests {
     #[test]
     fn dictionary_identifies_its_own_faults() {
         let (n, view, patterns) = setup();
-        let fsim = FaultSimulator::new(&n, &view, &patterns).unwrap();
-        let faults = fsim.sample_detected_faults(20, 1);
+        let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
+        let cases = psim.sample_detected_with_maps(20, 1);
         let plan = DiagnosisPlan::new(
             ChainLayout::single_chain(view.len()),
             64,
             &BistConfig::new(2, 3, Scheme::TWO_STEP_DEFAULT),
         )
         .unwrap();
-        let dict = FaultDictionary::build(&plan, &fsim, &faults);
-        assert_eq!(dict.num_faults(), faults.len());
-        for fault in &faults {
-            let outcome = plan.analyze(fsim.error_map(fault).iter_bits());
+        let dict = FaultDictionary::build(&plan, &cases);
+        assert_eq!(dict.num_faults(), cases.len());
+        for (fault, errors) in &cases {
+            let outcome = plan.analyze(errors.iter_bits());
             let suspects = dict.lookup_exact(&plan, &outcome);
             assert!(
                 suspects.contains(fault),
@@ -188,15 +189,15 @@ mod tests {
     #[test]
     fn exact_syndromes_refine_passfail() {
         let (n, view, patterns) = setup();
-        let fsim = FaultSimulator::new(&n, &view, &patterns).unwrap();
-        let faults = fsim.sample_detected_faults(30, 2);
+        let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
+        let cases = psim.sample_detected_with_maps(30, 2);
         let plan = DiagnosisPlan::new(
             ChainLayout::single_chain(view.len()),
             64,
             &BistConfig::new(2, 2, Scheme::RandomSelection),
         )
         .unwrap();
-        let dict = FaultDictionary::build(&plan, &fsim, &faults);
+        let dict = FaultDictionary::build(&plan, &cases);
         assert!(dict.num_exact_classes() >= dict.num_passfail_classes());
         assert!(dict.expected_exact_suspects() <= dict.expected_passfail_suspects() + 1e-9);
         let _ = n;
@@ -211,9 +212,9 @@ mod tests {
     #[test]
     fn suspect_statistics_independent_of_insertion_order() {
         let (n, view, patterns) = setup();
-        let fsim = FaultSimulator::new(&n, &view, &patterns).unwrap();
-        let faults = fsim.sample_detected_faults(30, 5);
-        let mut reversed = faults.clone();
+        let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
+        let cases = psim.sample_detected_with_maps(30, 5);
+        let mut reversed = cases.clone();
         reversed.reverse();
         let plan = DiagnosisPlan::new(
             ChainLayout::single_chain(view.len()),
@@ -221,8 +222,8 @@ mod tests {
             &BistConfig::new(2, 3, Scheme::TWO_STEP_DEFAULT),
         )
         .unwrap();
-        let forward = FaultDictionary::build(&plan, &fsim, &faults);
-        let backward = FaultDictionary::build(&plan, &fsim, &reversed);
+        let forward = FaultDictionary::build(&plan, &cases);
+        let backward = FaultDictionary::build(&plan, &reversed);
         assert_eq!(forward.num_exact_classes(), backward.num_exact_classes());
         assert_eq!(
             forward.expected_exact_suspects().to_bits(),
@@ -240,15 +241,15 @@ mod tests {
     #[test]
     fn unknown_syndrome_yields_no_suspects() {
         let (n, view, patterns) = setup();
-        let fsim = FaultSimulator::new(&n, &view, &patterns).unwrap();
-        let faults = fsim.sample_detected_faults(5, 3);
+        let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
+        let cases = psim.sample_detected_with_maps(5, 3);
         let plan = DiagnosisPlan::new(
             ChainLayout::single_chain(view.len()),
             64,
             &BistConfig::new(2, 2, Scheme::RandomSelection),
         )
         .unwrap();
-        let dict = FaultDictionary::build(&plan, &fsim, &faults);
+        let dict = FaultDictionary::build(&plan, &cases);
         // A fabricated error map unlike any single fault.
         let outcome = plan.analyze((0..view.len()).map(|c| (c, c % 3)));
         let suspects = dict.lookup_exact(&plan, &outcome);
@@ -260,8 +261,8 @@ mod tests {
     #[test]
     fn more_partitions_refine_classes() {
         let (n, view, patterns) = setup();
-        let fsim = FaultSimulator::new(&n, &view, &patterns).unwrap();
-        let faults = fsim.sample_detected_faults(30, 4);
+        let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
+        let cases = psim.sample_detected_with_maps(30, 4);
         let classes = |partitions: usize| {
             let plan = DiagnosisPlan::new(
                 ChainLayout::single_chain(view.len()),
@@ -269,7 +270,7 @@ mod tests {
                 &BistConfig::new(2, partitions, Scheme::RandomSelection),
             )
             .unwrap();
-            FaultDictionary::build(&plan, &fsim, &faults).num_passfail_classes()
+            FaultDictionary::build(&plan, &cases).num_passfail_classes()
         };
         assert!(classes(4) >= classes(1));
         let _ = n;

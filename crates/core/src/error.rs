@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use scan_sim::PatternShapeError;
+
 /// Error returned when a diagnosis plan cannot be constructed.
 #[derive(Clone, Copy, Eq, PartialEq, Debug)]
 #[non_exhaustive]
@@ -24,6 +26,8 @@ pub enum BuildPlanError {
         /// The offending degree.
         degree: u32,
     },
+    /// The pattern set does not match the circuit interface.
+    PatternShape(PatternShapeError),
 }
 
 impl fmt::Display for BuildPlanError {
@@ -43,6 +47,7 @@ impl fmt::Display for BuildPlanError {
             BuildPlanError::UnsupportedDegree { degree } => {
                 write!(f, "unsupported LFSR/MISR degree {degree}")
             }
+            BuildPlanError::PatternShape(e) => write!(f, "{e}"),
         }
     }
 }

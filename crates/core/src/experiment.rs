@@ -19,10 +19,7 @@ use std::fmt;
 
 use scan_bist::{Prpg, Scheme};
 use scan_netlist::{BitSet, Netlist, ScanOrdering, ScanView};
-use scan_sim::{
-    ErrorMap, EventFaultSimulator, FaultSimulator, PatternSet, PatternShapeError, PpsfpSimulator,
-    SimEngine,
-};
+use scan_sim::{ErrorMap, PatternSet, PatternShapeError, PpsfpSimulator};
 use scan_soc::Soc;
 
 use crate::diagnose::{diagnose, DiagnosisStatus};
@@ -66,10 +63,6 @@ pub struct CampaignSpec {
     /// reporting. `0.0` (the default, and the paper's setting) disables
     /// masking.
     pub x_mask_fraction: f64,
-    /// Which fault-simulation engine prepares the error maps. Both
-    /// engines are bit-exact (the differential harness proves it), so
-    /// this only changes preparation throughput, never results.
-    pub engine: SimEngine,
 }
 
 impl CampaignSpec {
@@ -89,7 +82,6 @@ impl CampaignSpec {
             include_outputs: true,
             ordering: ScanOrdering::Natural,
             x_mask_fraction: 0.0,
-            engine: SimEngine::default(),
         }
     }
 
@@ -1127,13 +1119,13 @@ pub fn lfsr_patterns(netlist: &Netlist, num_patterns: usize, seed: u64) -> Patte
     )
 }
 
-/// Samples the campaign's detected faults and simulates them to error
-/// maps on the engine selected by [`CampaignSpec::engine`].
+/// Samples the campaign's detected faults (or fault multiplets, for a
+/// `multiplet_size` above 1) together with their error maps, in one
+/// PPSFP pass.
 ///
-/// Both engines draw from the same shuffled candidate sequence and are
-/// bit-exact over it (the `engine_diff` harness in `scan-sim` proves
-/// it), so the produced cases are identical — only preparation
-/// throughput differs.
+/// The cases are exactly the oracle's sample-then-simulate list (the
+/// `engine_diff` harness in `scan-sim` proves it), so every campaign
+/// result is a pure function of this list.
 fn build_cases(
     netlist: &Netlist,
     view: &ScanView,
@@ -1141,54 +1133,21 @@ fn build_cases(
     spec: &CampaignSpec,
     multiplet_size: usize,
 ) -> Result<Vec<FaultCase>, CampaignError> {
-    let case = |errors: ErrorMap| FaultCase { errors };
-    Ok(match (spec.engine, multiplet_size) {
-        (SimEngine::BitParallel, 1) => {
-            let mut psim = {
-                let _span = scan_obs::span!("fault_sim_init");
-                PpsfpSimulator::new(netlist, view, patterns)?
-            };
-            let _span = scan_obs::span!("fault_sim");
-            psim.sample_detected_with_maps(spec.num_faults, spec.fault_seed)
-                .into_iter()
-                .map(|(_, errors)| case(errors))
-                .collect()
-        }
-        (SimEngine::BitParallel, size) => {
-            let mut psim = {
-                let _span = scan_obs::span!("fault_sim_init");
-                PpsfpSimulator::new(netlist, view, patterns)?
-            };
-            let _span = scan_obs::span!("fault_sim");
-            psim.sample_detected_multiplets_with_maps(spec.num_faults, size, spec.fault_seed)
-                .into_iter()
-                .map(|(_, errors)| case(errors))
-                .collect()
-        }
-        (SimEngine::EventDriven, 1) => {
-            let mut esim = {
-                let _span = scan_obs::span!("fault_sim_init");
-                EventFaultSimulator::new(netlist, view, patterns)?
-            };
-            let _span = scan_obs::span!("fault_sim");
-            esim.sample_detected_with_maps(spec.num_faults, spec.fault_seed)
-                .into_iter()
-                .map(|(_, errors)| case(errors))
-                .collect()
-        }
-        (SimEngine::EventDriven, size) => {
-            // The event engine has no multi-fault worklist; multiplets
-            // keep the original whole-circuit resimulation oracle.
-            let fsim = {
-                let _span = scan_obs::span!("fault_sim_init");
-                FaultSimulator::new(netlist, view, patterns)?
-            };
-            let _span = scan_obs::span!("fault_sim");
-            fsim.sample_detected_multiplets(spec.num_faults, size, spec.fault_seed)
-                .iter()
-                .map(|fs| case(fsim.error_map_multi(fs)))
-                .collect()
-        }
+    let mut psim = {
+        let _span = scan_obs::span!("fault_sim_init");
+        PpsfpSimulator::new(netlist, view, patterns)?
+    };
+    let _span = scan_obs::span!("fault_sim");
+    Ok(if multiplet_size == 1 {
+        psim.sample_detected_with_maps(spec.num_faults, spec.fault_seed)
+            .into_iter()
+            .map(|(_, errors)| FaultCase { errors })
+            .collect()
+    } else {
+        psim.sample_detected_multiplets_with_maps(spec.num_faults, multiplet_size, spec.fault_seed)
+            .into_iter()
+            .map(|(_, errors)| FaultCase { errors })
+            .collect()
     })
 }
 

@@ -92,5 +92,4 @@ pub use experiment::{
 pub use layout::ChainLayout;
 pub use metrics::DrAccumulator;
 pub use pruning::prune_by_cover;
-pub use scan_sim::SimEngine;
 pub use session::{BistConfig, DiagnosisPlan, ResponseModel, SessionOutcome};

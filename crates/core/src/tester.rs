@@ -29,7 +29,8 @@ use crate::session::BistConfig;
 
 /// The hardware-path diagnosis flow for a single-chain circuit.
 pub struct VirtualTester<'a> {
-    netlist: &'a Netlist,
+    /// Reference oracle: only it returns the whole faulty responses the tester compacts.
+    fsim: FaultSimulator<'a>,
     view: &'a ScanView,
     patterns: &'a PatternSet,
     config: BistConfig,
@@ -52,9 +53,10 @@ impl<'a> VirtualTester<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildPlanError::DegenerateConfig`] for empty configs
-    /// or [`BuildPlanError::UnsupportedDegree`] for bad register
-    /// widths.
+    /// Returns [`BuildPlanError::DegenerateConfig`] for empty configs,
+    /// [`BuildPlanError::UnsupportedDegree`] for bad register widths,
+    /// or [`BuildPlanError::PatternShape`] if `patterns` does not match
+    /// the netlist interface.
     pub fn new(
         netlist: &'a Netlist,
         view: &'a ScanView,
@@ -74,8 +76,10 @@ impl<'a> VirtualTester<'a> {
                 degree: config.partition_lfsr_degree,
             });
         }
+        let fsim =
+            FaultSimulator::new(netlist, view, patterns).map_err(BuildPlanError::PatternShape)?;
         Ok(VirtualTester {
-            netlist,
+            fsim,
             view,
             patterns,
             config,
@@ -88,14 +92,12 @@ impl<'a> VirtualTester<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the underlying simulators disagree on shapes (ruled
-    /// out by construction).
+    /// Never in practice: [`new`](Self::new) checks both register
+    /// degrees.
     #[must_use]
     pub fn diagnose(&self, fault: &Fault) -> TesterRun {
-        let fsim = FaultSimulator::new(self.netlist, self.view, self.patterns)
-            .expect("tester shapes are consistent");
-        let golden = fsim.golden().clone();
-        let faulty = fsim.response(fault);
+        let golden = self.fsim.golden();
+        let faulty = self.fsim.response(fault);
         let chain_len = self.view.len();
 
         let mut fails: Vec<Vec<bool>> = Vec::with_capacity(self.config.partitions);
@@ -120,11 +122,7 @@ impl<'a> VirtualTester<'a> {
                 // Mirror the engine's fallback: fixed intervals need no
                 // hardware randomness, so emulate them with a mask
                 // directly.
-                fails.push(self.fixed_interval_partition_fails(
-                    &golden,
-                    &faulty,
-                    &mut sessions,
-                ));
+                fails.push(self.fixed_interval_partition_fails(golden, &faulty, &mut sessions));
                 continue;
             };
             let mut hw = SelectionHardware::new(
@@ -135,7 +133,7 @@ impl<'a> VirtualTester<'a> {
                     k_bits: found.k_bits,
                 },
             );
-            fails.push(self.run_partition(&mut hw, &golden, &faulty, &mut sessions));
+            fails.push(self.run_partition(&mut hw, golden, &faulty, &mut sessions));
         }
 
         // Random-selection partitions for the remainder.
@@ -143,11 +141,7 @@ impl<'a> VirtualTester<'a> {
         if remaining > 0 || matches!(self.config.scheme, Scheme::FixedInterval) {
             if self.config.scheme == Scheme::FixedInterval {
                 for _ in 0..self.config.partitions {
-                    fails.push(self.fixed_interval_partition_fails(
-                        &golden,
-                        &faulty,
-                        &mut sessions,
-                    ));
+                    fails.push(self.fixed_interval_partition_fails(golden, &faulty, &mut sessions));
                 }
             } else {
                 let mut hw = SelectionHardware::new(
@@ -157,7 +151,7 @@ impl<'a> VirtualTester<'a> {
                     SelectionMode::RandomSelection,
                 );
                 for _ in 0..remaining {
-                    fails.push(self.run_partition(&mut hw, &golden, &faulty, &mut sessions));
+                    fails.push(self.run_partition(&mut hw, golden, &faulty, &mut sessions));
                     hw.finish_partition(chain_len);
                 }
             }
@@ -383,5 +377,21 @@ mod tests {
         let patterns = lfsr_patterns(&circuit, 16, 1);
         let config = BistConfig::new(0, 3, Scheme::RandomSelection);
         assert!(VirtualTester::new(&circuit, &view, &patterns, config).is_err());
+    }
+
+    #[test]
+    fn mismatched_patterns_rejected() {
+        // Patterns shaped for another circuit are a typed error at
+        // construction, not a panic in `diagnose`.
+        let circuit = generate::benchmark("s386");
+        let view = ScanView::natural(&circuit, true);
+        let patterns = lfsr_patterns(&generate::benchmark("s953"), 16, 1);
+        let config = BistConfig::new(4, 3, Scheme::RandomSelection);
+        let err = VirtualTester::new(&circuit, &view, &patterns, config).err();
+        assert!(matches!(
+            err,
+            Some(BuildPlanError::PatternShape(shape))
+                if shape.expected_pis == circuit.num_inputs() && shape.found_pis == patterns.num_pis()
+        ));
     }
 }

@@ -4,7 +4,12 @@
 use scan_rng::testkit::{Gen, Runner};
 
 use scan_bist::Scheme;
-use scan_diagnosis::{diagnose, prune_by_cover, BistConfig, ChainLayout, DiagnosisPlan};
+use scan_diagnosis::{
+    diagnose, parallel, prune_by_cover, BistConfig, CampaignSpec, ChainLayout, DiagnosisPlan,
+    NoiseConfig, NoiseModel, PreparedCampaign, RobustPolicy,
+};
+use scan_netlist::generate::{generate_with, profile, GeneratorConfig};
+use scan_netlist::{Netlist, ScanOrdering};
 
 const SCHEMES: [Scheme; 4] = [
     Scheme::RandomSelection,
@@ -156,5 +161,110 @@ fn same_position_cells_share_fate() {
             diag.candidates().contains(twin),
             "cells at shift position {pos} disagree"
         );
+    });
+}
+
+fn random_circuit(g: &mut Gen) -> Netlist {
+    let name = g.pick("profile", &["s298", "s344", "s386"]);
+    let seed = g.u64("circuit_seed", 0, 31);
+    generate_with(profile(name).unwrap(), seed, &GeneratorConfig::default())
+}
+
+/// A generated campaign spec and scheme. Pattern counts are usually not
+/// multiples of 64, so the ragged last word is always in play.
+fn random_spec(g: &mut Gen) -> (CampaignSpec, Scheme) {
+    let patterns = g.usize("patterns", 33, 130);
+    let groups = g.u16("groups", 2, 6);
+    let partitions = g.usize("partitions", 2, 6);
+    let scheme = g.pick(
+        "scheme",
+        &[
+            Scheme::TWO_STEP_DEFAULT,
+            Scheme::RandomSelection,
+            Scheme::IntervalBased,
+        ],
+    );
+    let mut spec = CampaignSpec::new(patterns, groups, partitions);
+    spec.num_faults = g.usize("faults", 10, 40);
+    spec.fault_seed = g.u64("fault_seed", 0, 1 << 20);
+    if g.bool("shuffled_chain") {
+        spec.ordering = ScanOrdering::Shuffled(g.u64("chain_seed", 0, 1 << 10));
+    }
+    (spec, scheme)
+}
+
+/// Strict campaigns are deterministic and serial equals sharded: two
+/// independent preparations of the same spec give the same report,
+/// per-fault candidate sets and audit trail (which pins every session
+/// verdict and failing group), and the sharded runs at 1/2/8 threads
+/// reproduce the serial report and candidate sets exactly. Covers
+/// single faults and multiplets.
+#[test]
+fn strict_runs_identical_serial_and_sharded() {
+    Runner::new(6).run("strict_runs_identical_serial_and_sharded", |g| {
+        let n = random_circuit(g);
+        let (spec, scheme) = random_spec(g);
+        let size = g.usize("multiplet_size", 1, 3);
+        let campaign = PreparedCampaign::from_circuit_multiplets(&n, &spec, size).unwrap();
+        let again = PreparedCampaign::from_circuit_multiplets(&n, &spec, size).unwrap();
+        assert_eq!(campaign.num_faults(), again.num_faults());
+        // Reports carry f64 aggregates; Debug formatting is exact for
+        // f64, so string equality is bit-identity.
+        let reference = format!("{:?}", campaign.run(scheme).unwrap());
+        assert_eq!(reference, format!("{:?}", again.run(scheme).unwrap()));
+        let candidates = campaign.candidate_sets(scheme).unwrap();
+        assert_eq!(candidates, again.candidate_sets(scheme).unwrap());
+        let audit = campaign.audit(scheme).unwrap();
+        let again_audit = again.audit(scheme).unwrap();
+        assert_eq!(audit, again_audit);
+        assert_eq!(audit.to_ndjson(), again_audit.to_ndjson());
+        for (fault, cells) in audit.faults.iter().zip(&candidates) {
+            assert_eq!(fault.final_candidates, cells.len(), "fault {}", fault.index);
+        }
+        for threads in [1usize, 2, 8] {
+            assert_eq!(
+                reference,
+                format!("{:?}", campaign.run_parallel(scheme, threads).unwrap()),
+                "sharded run diverged at {threads} threads"
+            );
+            assert_eq!(
+                candidates,
+                parallel::candidate_sets(&campaign, scheme, threads).unwrap(),
+                "sharded candidate sets diverged at {threads} threads"
+            );
+        }
+    });
+}
+
+/// The fault-tolerant (robust) path is serial-equals-sharded too:
+/// retries, votes, and fallbacks all replay identically at 1/2/8
+/// threads because every noise draw is keyed by fault and session.
+#[test]
+fn robust_runs_identical_serial_and_sharded() {
+    Runner::new(4).run("robust_runs_identical_serial_and_sharded", |g| {
+        let n = random_circuit(g);
+        let (spec, scheme) = random_spec(g);
+        let campaign = PreparedCampaign::from_circuit(&n, &spec).unwrap();
+        let mut config = NoiseConfig::noiseless(g.u64("noise_seed", 0, 1 << 20));
+        config.flip_rate = g.f64("flip", 0.0, 0.1);
+        config.dropout_rate = g.f64("dropout", 0.0, 0.05);
+        let noise = NoiseModel::new(config).unwrap();
+        let policy = RobustPolicy {
+            max_retry_rounds: 2,
+            votes: 3,
+        };
+        let reference = format!("{:?}", campaign.run_robust(scheme, &noise, &policy).unwrap());
+        for threads in [1usize, 2, 8] {
+            assert_eq!(
+                reference,
+                format!(
+                    "{:?}",
+                    campaign
+                        .run_robust_parallel(scheme, &noise, &policy, threads)
+                        .unwrap()
+                ),
+                "sharded robust run diverged at {threads} threads"
+            );
+        }
     });
 }

@@ -3,9 +3,11 @@
 //! [`FaultSimulator`] evaluates the fault-free ("golden") response once
 //! and then re-simulates the whole pattern set per fault, 64 patterns
 //! per pass, comparing against the golden response to produce an
-//! [`ErrorMap`]. At ISCAS-89 scale (≤ ~22k gates, 128–200 patterns)
-//! whole-circuit re-simulation is fast enough that event-driven
-//! machinery would not pay for itself.
+//! [`ErrorMap`]. Whole-circuit resimulation is the easiest engine to
+//! trust, so it is the reference oracle that
+//! [`PpsfpSimulator`](crate::PpsfpSimulator) — the production engine —
+//! is checked against, and the one engine that returns the whole
+//! faulty [`ResponseMap`].
 
 use scan_rng::ScanRng;
 
@@ -223,7 +225,7 @@ impl<'a> FaultSimulator<'a> {
 /// of single faults ("MULT"), so the two sample streams decorrelate.
 pub(crate) const MULTIPLET_SEED_TAG: u64 = 0x4D55_4C54;
 
-/// The shared candidate order every sampling engine draws from: the
+/// The shared candidate order both sampling engines draw from: the
 /// collapsed fault universe, restricted to sites with fanout, shuffled
 /// by `seed`.
 ///

@@ -10,34 +10,32 @@
 //!   stuck-at fault injection (stem or fanout-branch pin);
 //! * [`Fault`] / [`FaultUniverse`] — stuck-at fault enumeration with
 //!   classical equivalence collapsing;
-//! * [`FaultSimulator`] — golden/faulty response computation and
-//!   [`ErrorMap`] extraction over a
-//!   [`ScanView`](scan_netlist::ScanView), plus reproducible sampling
-//!   of detected faults (the paper's 500-fault campaigns);
-//! * [`PpsfpSimulator`] — the 64-wide PPSFP campaign engine: cone-
-//!   limited word sweeps, fault dropping, and single-pass sampling
-//!   that keeps each detection's error map;
-//! * [`EventFaultSimulator`] — the event-driven reference oracle;
-//! * [`SimEngine`] — explicit engine selection, threaded through the
-//!   `scan-diagnosis` campaign entry points and the `scanbist` CLI.
+//! * [`PpsfpSimulator`] — the fault-simulation engine: 64-wide PPSFP
+//!   over a [`ScanView`](scan_netlist::ScanView) with cone-limited
+//!   word sweeps, fault dropping, [`ErrorMap`] extraction, and
+//!   single-pass sampling of detected faults that keeps each
+//!   detection's error map (the paper's 500-fault campaigns);
+//! * [`FaultSimulator`] — the reference oracle: whole-circuit
+//!   resimulation per fault, the one engine that also returns a
+//!   faulty [`ResponseMap`].
 //!
 //! # Examples
 //!
 //! ```
 //! use scan_netlist::{bench, ScanView};
-//! use scan_sim::{FaultSimulator, FaultUniverse, PatternSet};
+//! use scan_sim::{FaultUniverse, PatternSet, PpsfpSimulator};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let s27 = bench::s27();
 //! let view = ScanView::natural(&s27, true);
 //! let patterns = PatternSet::pseudo_random(4, 3, 128, 1);
-//! let fsim = FaultSimulator::new(&s27, &view, &patterns)?;
+//! let mut psim = PpsfpSimulator::new(&s27, &view, &patterns)?;
 //!
 //! let universe = FaultUniverse::collapsed(&s27);
 //! let detected = universe
 //!     .faults()
 //!     .iter()
-//!     .filter(|f| fsim.is_detected(f))
+//!     .filter(|f| psim.detects(f))
 //!     .count();
 //! assert!(detected > 0);
 //! # Ok(())
@@ -51,7 +49,6 @@
 
 pub mod chain_fault;
 mod error;
-mod event_sim;
 mod fault;
 mod fault_sim;
 mod pattern;
@@ -62,10 +59,9 @@ mod simulator;
 
 pub use chain_fault::{locate_chain_fault, simulate_chain_fault, ChainFault};
 pub use error::PatternShapeError;
-pub use event_sim::EventFaultSimulator;
 pub use fault::{site_has_fanout, Fault, FaultSite, FaultUniverse};
 pub use fault_sim::FaultSimulator;
-pub use ppsfp::{PpsfpSimulator, SimEngine};
+pub use ppsfp::PpsfpSimulator;
 pub use sequential::SequentialSimulator;
 pub use pattern::PatternSet;
 pub use response::{ErrorMap, ResponseMap};

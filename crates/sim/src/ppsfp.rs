@@ -4,12 +4,12 @@
 //! patterns per `u64` word pass over the netlist. This engine combines
 //! that word layout with cone-limited event propagation and keeps a
 //! *per-word* scratch image of the fault-free net values, so a fault
-//! costs only its touched nets — there is no whole-image resynchronize
-//! between words, unlike [`EventFaultSimulator`](crate::EventFaultSimulator),
-//! and no whole-circuit re-evaluation at all, unlike
+//! costs only its touched nets — there is no whole-circuit
+//! re-evaluation, unlike the reference oracle
 //! [`FaultSimulator`](crate::FaultSimulator).
 //!
-//! Three things make it the campaign workhorse:
+//! It is the workspace's one production fault-simulation engine. Three
+//! things make it the campaign workhorse:
 //!
 //! * **Single-pass sampling.** [`PpsfpSimulator::sample_detected_with_maps`]
 //!   returns each detected fault *with* the error map that proved it
@@ -26,9 +26,9 @@
 //!   `scan-diagnosis`) consumes error words without an intermediate
 //!   per-bit pass.
 //!
-//! The engine is bit-exact with both older engines; the differential
-//! harness `tests/engine_diff.rs` proves it over generated circuits,
-//! fault lists, and partition plans.
+//! The engine is bit-exact with the oracle; the differential harness
+//! `tests/engine_diff.rs` proves it over generated circuits, pattern
+//! counts, scan orderings, and sampled fault and multiplet lists.
 
 use scan_netlist::{GateId, Netlist, ScanView};
 
@@ -38,33 +38,6 @@ use crate::fault_sim::{shuffled_candidate_faults, MULTIPLET_SEED_TAG};
 use crate::pattern::PatternSet;
 use crate::response::{ErrorMap, ResponseMap};
 use crate::simulator::Simulator;
-
-/// Which fault-simulation engine a campaign runs on.
-///
-/// Threaded through `scan-diagnosis` campaign preparation and the
-/// `scanbist` CLI (`--engine`). Both engines produce bit-identical
-/// verdicts, signatures, and diagnoses; they differ only in speed.
-#[derive(Clone, Copy, Eq, PartialEq, Hash, Debug, Default)]
-pub enum SimEngine {
-    /// The word-level PPSFP engine with fault dropping
-    /// ([`PpsfpSimulator`]) — the fast default.
-    #[default]
-    BitParallel,
-    /// The event-driven engine ([`EventFaultSimulator`](crate::EventFaultSimulator)),
-    /// kept alive as the reference oracle.
-    EventDriven,
-}
-
-impl SimEngine {
-    /// The CLI spelling of this engine (`bitpar` / `event`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SimEngine::BitParallel => "bitpar",
-            SimEngine::EventDriven => "event",
-        }
-    }
-}
 
 /// A bit-parallel PPSFP fault simulator bound to one circuit, scan
 /// view, and pattern set.
@@ -116,7 +89,7 @@ pub struct PpsfpSimulator<'a> {
 impl<'a> PpsfpSimulator<'a> {
     /// Creates the simulator and computes the fault-free values of
     /// every net for every pattern word (under the `golden` span, like
-    /// the other engines).
+    /// the oracle).
     ///
     /// # Errors
     ///
@@ -358,8 +331,8 @@ impl<'a> PpsfpSimulator<'a> {
     ///
     /// Samples from the exact candidate sequence of
     /// [`FaultSimulator::sample_detected_faults`](crate::FaultSimulator::sample_detected_faults)
-    /// (same universe, same shuffle, same verdicts), so campaigns built
-    /// on either engine see the same faults.
+    /// (same universe, same shuffle, same verdicts), so it draws the
+    /// same faults as the oracle.
     pub fn sample_detected_with_maps(&mut self, count: usize, seed: u64) -> Vec<(Fault, ErrorMap)> {
         let _span = scan_obs::span!("sample_detected");
         let faults = shuffled_candidate_faults(self.netlist, seed);

@@ -1,70 +1,48 @@
-//! Differential harness between the fault-simulation engines.
+//! Differential harness between the production fault-simulation engine
+//! ([`PpsfpSimulator`]) and the reference oracle ([`FaultSimulator`]).
 //!
-//! The bit-parallel PPSFP engine ([`PpsfpSimulator`]) is the fast
-//! production path; the event-driven engine ([`EventFaultSimulator`])
-//! and the whole-circuit resimulator ([`FaultSimulator`]) are the
-//! reference oracles. These tests drive all three over
-//! `scan_rng::testkit`-generated circuits, fault lists, and partition
-//! plans, and require *bit-identical* results end to end:
+//! A diagnosis campaign reads nothing from fault simulation but its
+//! case list: the sampled detected faults (or fault multiplets) and
+//! their error maps. Every session verdict, MISR signature and
+//! diagnosis downstream is a pure function of that list. These tests
+//! drive both engines over `scan_rng::testkit`-generated circuits,
+//! pattern counts, scan orderings, fault seeds and multiplet sizes, and
+//! require *bit-identical* results:
 //!
-//! * per-fault error maps and golden responses,
-//! * per-session verdicts and MISR-model signatures (compared through
-//!   the campaign audit trail, which records the failing groups every
-//!   signature mismatch produces),
-//! * strict and robust diagnosis reports, serial and sharded at
-//!   1 / 2 / 8 threads.
-//!
-//! `scan-diagnosis` is a dev-dependency here (Cargo permits the
-//! dev-cycle): campaign-level identity is what licenses the CLI to
-//! default to the fast engine.
+//! * golden responses and per-fault error maps, with fault dropping
+//!   giving the same detection verdict;
+//! * the single-pass samplers' case lists against the oracle's
+//!   sample-then-simulate lists, for single faults and multiplets.
 
-use scan_bist::Scheme;
-use scan_diagnosis::{
-    CampaignSpec, NoiseConfig, NoiseModel, PreparedCampaign, RobustPolicy,
-};
 use scan_netlist::generate::{generate_with, profile, GeneratorConfig};
 use scan_netlist::{Netlist, ScanOrdering, ScanView};
-use scan_rng::testkit::Runner;
-use scan_sim::{
-    EventFaultSimulator, FaultSimulator, FaultUniverse, PatternSet, PpsfpSimulator, SimEngine,
-};
+use scan_rng::testkit::{Gen, Runner};
+use scan_sim::{FaultSimulator, FaultUniverse, PatternSet, PpsfpSimulator};
 
-fn random_circuit(g: &mut scan_rng::testkit::Gen) -> Netlist {
+fn random_circuit(g: &mut Gen) -> Netlist {
     let name = g.pick("profile", &["s298", "s344", "s386"]);
     let seed = g.u64("circuit_seed", 0, 31);
     generate_with(profile(name).unwrap(), seed, &GeneratorConfig::default())
 }
 
-/// A campaign spec pair differing only in the engine field.
-fn spec_pair(g: &mut scan_rng::testkit::Gen) -> (CampaignSpec, CampaignSpec, Scheme) {
-    // Deliberately includes pattern counts that are not multiples of
-    // 64, so the ragged last word is always in play.
-    let patterns = g.usize("patterns", 33, 130);
-    let groups = g.u16("groups", 2, 6);
-    let partitions = g.usize("partitions", 2, 6);
-    let scheme = g.pick(
-        "scheme",
-        &[
-            Scheme::TWO_STEP_DEFAULT,
-            Scheme::RandomSelection,
-            Scheme::IntervalBased,
-        ],
-    );
-    let mut spec = CampaignSpec::new(patterns, groups, partitions);
-    spec.num_faults = g.usize("faults", 10, 40);
-    spec.fault_seed = g.u64("fault_seed", 0, 1 << 20);
-    if g.bool("shuffled_chain") {
-        spec.ordering = ScanOrdering::Shuffled(g.u64("chain_seed", 0, 1 << 10));
-    }
-    let mut bitpar = spec;
-    bitpar.engine = SimEngine::BitParallel;
-    let mut event = spec;
-    event.engine = SimEngine::EventDriven;
-    (bitpar, event, scheme)
+/// A campaign-shaped setup: a natural or shuffled scan view and a
+/// pattern count that is usually not a multiple of 64, so the ragged
+/// last word is always in play.
+fn random_setup(g: &mut Gen, n: &Netlist) -> (ScanView, PatternSet) {
+    let ordering = if g.bool("shuffled_chain") {
+        ScanOrdering::Shuffled(g.u64("chain_seed", 0, 1 << 10))
+    } else {
+        ScanOrdering::Natural
+    };
+    let view = ScanView::ordered(n, ordering, true);
+    let num_patterns = g.usize("patterns", 33, 130);
+    let pat_seed = g.u64("pattern_seed", 0, 1 << 20);
+    let patterns = PatternSet::pseudo_random(n.num_inputs(), n.num_dffs(), num_patterns, pat_seed);
+    (view, patterns)
 }
 
-/// All three engines agree on the golden response and on every sampled
-/// fault's error map, at pattern widths that exercise the masked tail.
+/// Both engines agree on the golden response and on every fault's error
+/// map, at pattern widths that exercise the masked tail.
 #[test]
 fn error_maps_bit_identical_across_engines() {
     Runner::new(10).run("error_maps_bit_identical_across_engines", |g| {
@@ -75,13 +53,10 @@ fn error_maps_bit_identical_across_engines() {
         let patterns =
             PatternSet::pseudo_random(n.num_inputs(), n.num_dffs(), num_patterns, pat_seed);
         let fsim = FaultSimulator::new(&n, &view, &patterns).unwrap();
-        let mut esim = EventFaultSimulator::new(&n, &view, &patterns).unwrap();
         let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
         assert_eq!(fsim.golden(), psim.golden());
-        assert_eq!(fsim.golden(), esim.golden());
         for fault in FaultUniverse::collapsed(&n).faults().iter().take(40) {
             let reference = fsim.error_map(fault);
-            assert_eq!(reference, esim.error_map(fault), "event engine diverged");
             assert_eq!(reference, psim.error_map(fault), "ppsfp engine diverged");
             assert_eq!(
                 reference.is_detected(),
@@ -92,101 +67,52 @@ fn error_maps_bit_identical_across_engines() {
     });
 }
 
-/// Campaigns prepared on either engine produce identical strict
-/// diagnosis results: reports, per-fault candidate sets, and the full
-/// audit trail (which pins every session verdict and failing group the
-/// MISR signature comparison yields), serially and at 1/2/8 threads.
+/// Single-fault campaigns see the same case list on either engine: the
+/// single-pass sampler returns exactly the oracle's detected faults,
+/// in order, each with the oracle's error map.
 #[test]
-fn strict_campaigns_identical_across_engines() {
-    Runner::new(6).run("strict_campaigns_identical_across_engines", |g| {
+fn single_fault_campaigns_identical_across_engines() {
+    Runner::new(8).run("single_fault_campaigns_identical_across_engines", |g| {
         let n = random_circuit(g);
-        let (bitpar, event, scheme) = spec_pair(g);
-        let fast = PreparedCampaign::from_circuit(&n, &bitpar).unwrap();
-        let oracle = PreparedCampaign::from_circuit(&n, &event).unwrap();
-        assert_eq!(fast.num_faults(), oracle.num_faults());
-        // Reports carry f64 aggregates; Debug formatting is exact for
-        // f64, so string equality is bit-identity.
-        let reference = format!("{:?}", oracle.run(scheme).unwrap());
-        assert_eq!(reference, format!("{:?}", fast.run(scheme).unwrap()));
-        for threads in [1usize, 2, 8] {
-            assert_eq!(
-                reference,
-                format!("{:?}", fast.run_parallel(scheme, threads).unwrap()),
-                "bitpar parallel run diverged at {threads} threads"
-            );
-            assert_eq!(
-                reference,
-                format!("{:?}", oracle.run_parallel(scheme, threads).unwrap()),
-                "event parallel run diverged at {threads} threads"
-            );
-        }
-        assert_eq!(
-            oracle.candidate_sets(scheme).unwrap(),
-            fast.candidate_sets(scheme).unwrap()
-        );
-        let oracle_audit = oracle.audit(scheme).unwrap();
-        let fast_audit = fast.audit(scheme).unwrap();
-        assert_eq!(oracle_audit, fast_audit);
-        assert_eq!(oracle_audit.to_ndjson(), fast_audit.to_ndjson());
-    });
-}
-
-/// The fault-tolerant (robust) path is engine-independent too, serial
-/// and sharded: retries, votes, and fallbacks all replay identically
-/// because the underlying error maps are bit-identical.
-#[test]
-fn robust_campaigns_identical_across_engines() {
-    Runner::new(4).run("robust_campaigns_identical_across_engines", |g| {
-        let n = random_circuit(g);
-        let (bitpar, event, scheme) = spec_pair(g);
-        let fast = PreparedCampaign::from_circuit(&n, &bitpar).unwrap();
-        let oracle = PreparedCampaign::from_circuit(&n, &event).unwrap();
-        let mut config = NoiseConfig::noiseless(g.u64("noise_seed", 0, 1 << 20));
-        config.flip_rate = g.f64("flip", 0.0, 0.1);
-        config.dropout_rate = g.f64("dropout", 0.0, 0.05);
-        let noise = NoiseModel::new(config).unwrap();
-        let policy = RobustPolicy {
-            max_retry_rounds: 2,
-            votes: 3,
-        };
-        let reference = format!("{:?}", oracle.run_robust(scheme, &noise, &policy).unwrap());
-        assert_eq!(
-            reference,
-            format!("{:?}", fast.run_robust(scheme, &noise, &policy).unwrap())
-        );
-        for threads in [1usize, 2, 8] {
-            assert_eq!(
-                reference,
-                format!(
-                    "{:?}",
-                    fast.run_robust_parallel(scheme, &noise, &policy, threads)
-                        .unwrap()
-                ),
-                "robust bitpar run diverged at {threads} threads"
-            );
-        }
+        let (view, patterns) = random_setup(g, &n);
+        let count = g.usize("faults", 10, 40);
+        let seed = g.u64("fault_seed", 0, 1 << 20);
+        let fsim = FaultSimulator::new(&n, &view, &patterns).unwrap();
+        let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
+        let reference: Vec<_> = fsim
+            .sample_detected_faults(count, seed)
+            .into_iter()
+            .map(|fault| (fault, fsim.error_map(&fault)))
+            .collect();
+        assert!(!reference.is_empty());
+        assert_eq!(reference, psim.sample_detected_with_maps(count, seed));
     });
 }
 
 /// Multiple-fault campaigns agree as well: the PPSFP multi-fault sweep
-/// against the whole-circuit resimulation oracle the event engine
-/// falls back to for multiplets.
+/// samples the oracle's multiplets, each with the oracle's error map.
 #[test]
 fn multiplet_campaigns_identical_across_engines() {
-    Runner::new(4).run("multiplet_campaigns_identical_across_engines", |g| {
+    Runner::new(6).run("multiplet_campaigns_identical_across_engines", |g| {
         let n = random_circuit(g);
-        let (bitpar, event, scheme) = spec_pair(g);
+        let (view, patterns) = random_setup(g, &n);
+        let count = g.usize("faults", 10, 40);
         let size = g.usize("multiplet_size", 2, 3);
-        let fast = PreparedCampaign::from_circuit_multiplets(&n, &bitpar, size).unwrap();
-        let oracle = PreparedCampaign::from_circuit_multiplets(&n, &event, size).unwrap();
-        assert_eq!(fast.num_faults(), oracle.num_faults());
+        let seed = g.u64("fault_seed", 0, 1 << 20);
+        let fsim = FaultSimulator::new(&n, &view, &patterns).unwrap();
+        let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
+        let reference: Vec<_> = fsim
+            .sample_detected_multiplets(count, size, seed)
+            .into_iter()
+            .map(|faults| {
+                let map = fsim.error_map_multi(&faults);
+                (faults, map)
+            })
+            .collect();
+        assert!(!reference.is_empty());
         assert_eq!(
-            format!("{:?}", oracle.run(scheme).unwrap()),
-            format!("{:?}", fast.run(scheme).unwrap())
-        );
-        assert_eq!(
-            oracle.candidate_sets(scheme).unwrap(),
-            fast.candidate_sets(scheme).unwrap()
+            reference,
+            psim.sample_detected_multiplets_with_maps(count, size, seed)
         );
     });
 }

@@ -22,12 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Pseudorandom BIST session.
     let patterns = scan_bist_suite::diagnosis::lfsr_patterns(&circuit, 128, 0xACE1);
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns)?;
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns)?;
     let universe = FaultUniverse::collapsed(&circuit);
     let missed: Vec<Fault> = universe
         .faults()
         .iter()
-        .filter(|f| !fsim.is_detected(f))
+        .filter(|f| !psim.detects(f))
         .copied()
         .collect();
     println!(

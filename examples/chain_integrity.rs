@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // broken chain — and why logic diagnosis must not run on it.
     let patterns = scan_bist_suite::diagnosis::lfsr_patterns(&circuit, 64, 0xACE1);
     let observed = simulate_chain_fault(&circuit, &view, &patterns, &defect)?;
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns)?;
-    let flooded = observed.xor(fsim.golden()).failing_positions().len();
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns)?;
+    let flooded = observed.xor(psim.golden()).failing_positions().len();
     println!(
         "uncaught, the defect would look like {flooded} failing positions of {} — \
          far beyond any single logic fault",
@@ -54,13 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Step 3: with the chain repaired (or the defect known), logic
     // diagnosis proceeds normally.
-    let fault = fsim.sample_detected_faults(1, 7)[0];
+    let (fault, errors) = psim.sample_detected_with_maps(1, 7).remove(0);
     let plan = DiagnosisPlan::new(
         ChainLayout::single_chain(view.len()),
         64,
         &BistConfig::new(4, 4, Scheme::TWO_STEP_DEFAULT),
     )?;
-    let errors = fsim.error_map(&fault);
     let diag = diagnose_checked(&plan, &plan.analyze(errors.iter_bits()))?;
     println!(
         "healthy chain: logic fault {} narrows to {} candidate cells",

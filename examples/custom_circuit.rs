@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // wider 24-bit MISR.
     let view = ScanView::natural(&circuit, true);
     let patterns = scan_bist_suite::diagnosis::lfsr_patterns(&circuit, 32, 7);
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns)?;
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns)?;
 
     let mut config = BistConfig::new(2, 4, Scheme::TWO_STEP_DEFAULT);
     config.misr_degree = 24;
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Diagnose every detected collapsed fault and report resolution.
     let mut acc = DrAccumulator::new();
     for fault in FaultUniverse::collapsed(&circuit).faults() {
-        let errors = fsim.error_map(fault);
+        let errors = psim.error_map(fault);
         if !errors.is_detected() {
             continue;
         }

@@ -15,11 +15,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;
     let patterns = scan_bist_suite::diagnosis::lfsr_patterns(&circuit, num_patterns, 0xACE1);
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns)?;
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns)?;
 
     // One fault; which patterns exposed it?
-    let fault = fsim.sample_detected_faults(1, 2003)[0];
-    let errors = fsim.error_map(&fault);
+    let (fault, errors) = psim.sample_detected_with_maps(1, 2003).remove(0);
     let bits: Vec<(usize, usize)> = errors.iter_bits().collect();
     let actual = actual_failing_vectors(num_patterns, bits.iter().copied());
     println!(

@@ -17,8 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let patterns = scan_bist_suite::diagnosis::lfsr_patterns(&circuit, num_patterns, 0xACE1);
     let config = BistConfig::new(4, 3, Scheme::TWO_STEP_DEFAULT);
 
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns)?;
-    let fault = fsim.sample_detected_faults(1, 42)[0];
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns)?;
+    let (fault, errors) = psim.sample_detected_with_maps(1, 42).remove(0);
     println!(
         "injecting {} into {} ({} cells under diagnosis)",
         fault.describe(&circuit),
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Fast path: linear superposition over the sparse error map.
     let plan = DiagnosisPlan::new(ChainLayout::single_chain(view.len()), num_patterns, &config)?;
-    let outcome = plan.analyze(fsim.error_map(&fault).iter_bits());
+    let outcome = plan.analyze(errors.iter_bits());
     let engine = diagnose_checked(&plan, &outcome)?;
     println!("fast engine:  {} candidates", engine.num_candidates());
 

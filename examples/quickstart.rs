@@ -21,12 +21,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. A BIST session: 64 pseudo-random patterns from the LFSR PRPG.
     let patterns = scan_bist_suite::diagnosis::lfsr_patterns(&circuit, 64, 0xACE1);
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns)?;
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns)?;
 
     // 3. Inject a fault the tester doesn't know about.
     let net = circuit.find_net("G10").expect("net exists");
     let fault = Fault::stem(net, true);
-    let errors = fsim.error_map(&fault);
+    let errors = psim.error_map(&fault);
     let truth: Vec<usize> = errors.failing_positions().iter().collect();
     println!("injected {}: true failing cells {truth:?}", fault.describe(&circuit));
 

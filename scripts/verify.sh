@@ -67,20 +67,14 @@ GOT=$(sed -n 's/.*"key":"diagnosis\.cases","n":[0-9]*,"value":\([0-9]*\).*/\1/p'
     exit 1
 }
 
-echo "==> engine-diff smoke (bitpar vs event audits must be identical)"
-./target/release/scanbist \
-    --audit-out "$SMOKE_DIR/audit_bitpar.ndjson" \
-    diagnose s298 --patterns 64 --faults 30 --engine bitpar \
-    > /dev/null 2>> "$SMOKE_DIR/summary.txt"
-./target/release/scanbist \
-    --audit-out "$SMOKE_DIR/audit_event.ndjson" \
-    diagnose s298 --patterns 64 --faults 30 --engine event \
-    > /dev/null 2>> "$SMOKE_DIR/summary.txt"
-./target/release/obs-check \
-    "$SMOKE_DIR/audit_bitpar.ndjson" "$SMOKE_DIR/audit_event.ndjson"
-cmp -s "$SMOKE_DIR/audit_bitpar.ndjson" "$SMOKE_DIR/audit_event.ndjson" || {
-    echo "engine audits diverged: the bit-parallel and event-driven"
-    echo "engines produced different campaign audit trails"; exit 1;
+echo "==> serial-vs-sharded smoke (noise summaries at 1 and 4 threads must be identical)"
+for T in 1 4; do
+    ./target/release/scanbist \
+        --json noise s953 --patterns 64 --faults 50 --flip 0.02 --seed 7 --threads "$T" \
+        > "$SMOKE_DIR/noise_threads_$T.json" 2>> "$SMOKE_DIR/summary.txt"
+done
+cmp -s "$SMOKE_DIR/noise_threads_1.json" "$SMOKE_DIR/noise_threads_4.json" || {
+    echo "noise campaign summaries diverged between 1 and 4 threads"; exit 1;
 }
 
 echo "==> noisy-campaign smoke (scanbist noise --audit-out)"

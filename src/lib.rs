@@ -48,6 +48,6 @@ pub mod prelude {
         DiagnosisPlan, DrAccumulator, PreparedCampaign, ResponseModel, SchemeReport,
     };
     pub use scan_netlist::{GateKind, Netlist, NetlistBuilder, ScanOrdering, ScanView};
-    pub use scan_sim::{EventFaultSimulator, Fault, FaultSimulator, FaultUniverse, PatternSet};
+    pub use scan_sim::{Fault, FaultSimulator, FaultUniverse, PatternSet, PpsfpSimulator};
     pub use scan_soc::{CoreModule, Soc, SocDescriptor};
 }
