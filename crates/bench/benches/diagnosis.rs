@@ -53,7 +53,7 @@ fn bench_single_fault_diagnosis(b: &Bench) {
         )
         .expect("plan builds");
         b.run(&format!("single_fault_diagnosis_s5378_{label}"), || {
-            let outcome = plan.analyze(errors.iter_bits());
+            let outcome = plan.analyze_packed(errors.iter_words());
             let diag = diagnose(&plan, &outcome);
             let pruned = prune_by_cover(&plan, &outcome, diag.candidates());
             black_box((diag.num_candidates(), pruned.len()))

@@ -56,9 +56,9 @@ fn bench_meta_chain_diagnosis(b: &Bench) {
             local_to_global[cell.local as usize] = global;
         }
     }
-    let bits: Vec<(usize, usize)> = errors
-        .iter_bits()
-        .map(|(pos, pat)| (local_to_global[pos], pat))
+    let words: Vec<(usize, usize, u64)> = errors
+        .iter_words()
+        .map(|(pos, w, bits)| (local_to_global[pos], w, bits))
         .collect();
     let plan = DiagnosisPlan::new(
         ChainLayout::from_soc(&soc),
@@ -67,7 +67,7 @@ fn bench_meta_chain_diagnosis(b: &Bench) {
     )
     .expect("plan builds");
     b.run("meta_chain_diagnosis_one_fault_7244_cells", || {
-        let outcome = plan.analyze(bits.iter().copied());
+        let outcome = plan.analyze_packed(words.iter().copied());
         black_box(diagnose(&plan, &outcome).num_candidates())
     });
 }

@@ -56,15 +56,15 @@ fn main() {
         let mut base_acc = DrAccumulator::new();
         let mut mask_acc = DrAccumulator::new();
         for (_, errors) in &cases {
-            let bits: Vec<(usize, usize)> = errors
-                .iter_bits()
-                .map(|(pos, pat)| (local_to_global[pos], pat))
+            let words: Vec<(usize, usize, u64)> = errors
+                .iter_words()
+                .map(|(pos, w, bits)| (local_to_global[pos], w, bits))
                 .collect();
             let actual = errors.failing_positions().len();
-            let baseline = diagnose(&plan, &plan.analyze(bits.iter().copied()));
+            let baseline = diagnose(&plan, &plan.analyze_packed(words.iter().copied()));
             base_acc.add(baseline.num_candidates(), actual);
             let masked =
-                diagnose_chain_masked(&plan, &analyze_chain_masked(&plan, bits.iter().copied()));
+                diagnose_chain_masked(&plan, &analyze_chain_masked(&plan, words.iter().copied()));
             mask_acc.add(masked.len(), actual);
         }
         rows.push(vec![

@@ -48,7 +48,7 @@ fn main() {
         .expect("plan builds");
         let mut acc = DrAccumulator::new();
         for (_, errors) in &cases {
-            let outcome = plan.analyze(errors.iter_bits());
+            let outcome = plan.analyze_packed(errors.iter_words());
             let diag = diagnose(&plan, &outcome);
             acc.add(diag.num_candidates(), errors.failing_positions().len());
         }

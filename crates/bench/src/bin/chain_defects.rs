@@ -64,7 +64,7 @@ fn main() {
             simulate_chain_fault(&circuit, &view, &patterns, &fault).expect("shapes match");
         let errors = observed.xor(psim.golden());
         let failing = errors.failing_positions().len();
-        let outcome = plan.analyze(errors.iter_bits());
+        let outcome = plan.analyze_packed(errors.iter_words());
         let diag = diagnose(&plan, &outcome);
         rows.push(vec![
             position.to_string(),

@@ -67,7 +67,10 @@ fn main() {
     println!("{}", bitmap(view.len(), &failing));
     println!();
 
-    let bits: Vec<(usize, usize)> = failing.iter().map(|&pos| (pos, pattern)).collect();
+    let words: Vec<(usize, usize, u64)> = failing
+        .iter()
+        .map(|&pos| (pos, pattern / 64, 1 << (pattern % 64)))
+        .collect();
     for scheme in [Scheme::IntervalBased, Scheme::RandomSelection] {
         let plan = DiagnosisPlan::new(
             ChainLayout::single_chain(view.len()),
@@ -75,7 +78,7 @@ fn main() {
             &BistConfig::new(4, 1, scheme),
         )
         .expect("plan builds");
-        let outcome = plan.analyze(bits.iter().copied());
+        let outcome = plan.analyze_packed(words.iter().copied());
         let diag = diagnose(&plan, &outcome);
         println!("{} partitioning:", scheme.name());
         let partition = &plan.partitions()[0];

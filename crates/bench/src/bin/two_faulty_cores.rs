@@ -32,8 +32,9 @@ fn main() {
         .map(scan_soc::CoreModule::num_positions)
         .collect();
 
-    // Precompute per-core fault evidence (error bits in global ids).
-    let mut per_core: Vec<Vec<Vec<(usize, usize)>>> = Vec::new();
+    // Precompute per-core fault evidence (packed error words in global
+    // ids).
+    let mut per_core: Vec<Vec<Vec<(usize, usize, u64)>>> = Vec::new();
     for (index, core) in soc.cores().iter().enumerate() {
         let seed = 0xACE1u64.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let patterns = scan_diagnosis::lfsr_patterns(core.netlist(), num_patterns, seed);
@@ -51,8 +52,8 @@ fn main() {
                 .iter()
                 .map(|(_, errors)| {
                     errors
-                        .iter_bits()
-                        .map(|(pos, pat)| (local_to_global[pos], pat))
+                        .iter_words()
+                        .map(|(pos, w, bits)| (local_to_global[pos], w, bits))
                         .collect()
                 })
                 .collect(),
@@ -73,11 +74,11 @@ fn main() {
             let mut acc = DrAccumulator::new();
             let mut top2_hits = 0usize;
             let n_cases = per_core[a].len().min(per_core[b].len());
-            for (bits_a, bits_b) in per_core[a].iter().zip(&per_core[b]) {
-                let bits: Vec<(usize, usize)> = bits_a.iter().chain(bits_b).copied().collect();
+            for (words_a, words_b) in per_core[a].iter().zip(&per_core[b]) {
+                let words = words_a.iter().chain(words_b).copied();
                 let actual: std::collections::HashSet<usize> =
-                    bits.iter().map(|&(c, _)| c).collect();
-                let outcome = plan.analyze(bits.iter().copied());
+                    words.clone().map(|(c, _, _)| c).collect();
+                let outcome = plan.analyze_packed(words);
                 let diag = diagnose(&plan, &outcome);
                 acc.add(diag.num_candidates(), actual.len());
                 // Density ranking, top-2.

@@ -2,10 +2,11 @@
 //! workspace's hot paths, robust summary statistics, and versioned
 //! baseline files with regression comparison.
 //!
-//! Nine kernels cover the pipeline end to end — campaign fault
+//! Eight kernels cover the pipeline end to end — campaign fault
 //! simulation (bit-parallel by default), the raw PPSFP error-map sweep
-//! (`fault_sim_bitpar`), bit-serial and fused word-level MISR
-//! compaction, interval and random-selection partition generation,
+//! (`fault_sim_bitpar`), MISR compaction of that sweep's error maps
+//! into session signatures (`misr_compaction`, the production
+//! `analyze_packed`), interval and random-selection partition generation,
 //! serial and parallel diagnosis campaigns, and an SOC per-core sweep.
 //! Each kernel runs `warmup` untimed repetitions and
 //! `repeats` timed ones; samples above `Q3 + 1.5·IQR` are rejected as
@@ -23,8 +24,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use scan_bist::partition::{generate_partitions, PartitionConfig};
-use scan_bist::{Misr, Prpg, Scheme, WordMisr};
-use scan_diagnosis::{lfsr_patterns, CampaignSpec, PreparedCampaign};
+use scan_bist::Scheme;
+use scan_diagnosis::{
+    lfsr_patterns, BistConfig, CampaignSpec, ChainLayout, DiagnosisPlan, PreparedCampaign,
+};
 use scan_netlist::{generate, ScanView};
 use scan_sim::PpsfpSimulator;
 use scan_obs::json::{parse, Value};
@@ -414,7 +417,6 @@ pub fn run_suite(
     let campaign =
         PreparedCampaign::from_circuit(&netlist, &spec).expect("embedded benchmark prepares");
     let chain_len = campaign.layout().num_cells();
-    let misr_cycles = if config.quick { 50_000u64 } else { 200_000 };
 
     let mut kernels = BTreeMap::new();
     let record = |name: &str,
@@ -438,48 +440,36 @@ pub fn run_suite(
     let pattern_set = lfsr_patterns(&netlist, patterns, spec.prpg_seed);
     let mut psim =
         PpsfpSimulator::new(&netlist, &view, &pattern_set).expect("embedded benchmark prepares");
-    let sample: Vec<scan_sim::Fault> = psim
-        .sample_detected_with_maps(faults, spec.fault_seed)
-        .into_iter()
-        .map(|(fault, _)| fault)
-        .collect();
+    let sample: Vec<(scan_sim::Fault, scan_sim::ErrorMap)> =
+        psim.sample_detected_with_maps(faults, spec.fault_seed);
     let samples = time_kernel(config.warmup, config.repeats, || {
         let mut failing = 0usize;
-        for fault in &sample {
+        for (fault, _) in &sample {
             failing += psim.error_map(fault).failing_positions().len();
         }
         failing
     });
     record("fault_sim_bitpar", &mut kernels, samples, &mut on_kernel);
 
+    // MISR compaction as production runs it: every session signature of
+    // the sampled faults' error maps, straight from their packed words.
+    let plan = DiagnosisPlan::new(
+        ChainLayout::single_chain(view.len()),
+        patterns,
+        &BistConfig::new(groups, partitions, Scheme::TWO_STEP_DEFAULT),
+    )
+    .expect("embedded benchmark plan builds");
     let samples = time_kernel(config.warmup, config.repeats, || {
-        let mut misr = Misr::new(16).expect("degree 16 supported");
-        let mut prpg = Prpg::new(0xACE1).expect("PRPG degree supported");
-        for _ in 0..misr_cycles {
-            misr.clock(u64::from(prpg.next_bit()));
+        let mut failing = 0usize;
+        for (_, map) in &sample {
+            let outcome = plan.analyze_packed(map.iter_words());
+            failing += (0..partitions)
+                .map(|p| outcome.failing_groups(p).count())
+                .sum::<usize>();
         }
-        misr.signature()
+        failing
     });
     record("misr_compaction", &mut kernels, samples, &mut on_kernel);
-
-    // Fused compaction: the same stream folded 64 clocks per step,
-    // ragged tail included (`misr_cycles` is not a multiple of 64).
-    let samples = time_kernel(config.warmup, config.repeats, || {
-        let mut misr = WordMisr::new(16).expect("degree 16 supported");
-        let mut prpg = Prpg::new(0xACE1).expect("PRPG degree supported");
-        let mut remaining = misr_cycles;
-        while remaining > 0 {
-            let n = remaining.min(64) as u32;
-            let mut word = 0u64;
-            for lane in 0..n {
-                word |= u64::from(prpg.next_bit()) << lane;
-            }
-            misr.clock_word(word, n);
-            remaining -= u64::from(n);
-        }
-        misr.signature()
-    });
-    record("misr_fused", &mut kernels, samples, &mut on_kernel);
 
     let partition_config = PartitionConfig::new(chain_len, groups);
     let samples = time_kernel(config.warmup, config.repeats, || {
@@ -666,10 +656,10 @@ mod tests {
         };
         let mut seen = Vec::new();
         let result = run_suite(&config, |name, _| seen.push(name.to_owned()));
-        assert_eq!(result.kernels.len(), 9);
+        assert_eq!(result.kernels.len(), 8);
         assert!(seen.contains(&"diagnosis_serial".to_owned()));
         assert!(seen.contains(&"fault_sim_bitpar".to_owned()));
-        assert!(seen.contains(&"misr_fused".to_owned()));
+        assert!(seen.contains(&"misr_compaction".to_owned()));
         for (name, k) in &result.kernels {
             assert!(k.samples >= 1, "kernel {name} lost all samples");
         }

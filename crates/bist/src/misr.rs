@@ -217,113 +217,6 @@ impl Misr {
     }
 }
 
-/// A fused word-level MISR for single-chain scan-out compaction.
-///
-/// Functionally identical to clocking a single-input [`Misr`] bit by
-/// bit, but advances up to 64 clocks per [`WordMisr::clock_word`] call
-/// using the register's linearity: after `n` clocks with input bits
-/// `b_0 .. b_{n−1}` (bit `j` of the packed word is the input of the
-/// `j`-th clock, injected at stage 0),
-///
-/// ```text
-/// state' = state · x^n  ⊕  Σ_j b_j · x^(n−1−j)   (mod p(x))
-/// ```
-///
-/// with every needed power of `x` precomputed at construction. This is
-/// the compaction half of the PPSFP word-level sweep: the simulator
-/// hands over packed 64-pattern words and the signature advances a
-/// word at a time instead of a clock at a time.
-///
-/// # Examples
-///
-/// ```
-/// use scan_bist::{Misr, WordMisr};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut bitwise = Misr::new(16)?;
-/// let mut fused = WordMisr::new(16)?;
-/// let stream = 0xDEAD_BEEF_0123_4567u64;
-/// for j in 0..50 {
-///     bitwise.clock(stream >> j & 1);
-/// }
-/// fused.clock_word(stream & ((1 << 50) - 1), 50);
-/// assert_eq!(bitwise.signature(), fused.signature());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Eq, PartialEq, Hash, Debug)]
-pub struct WordMisr {
-    model: MisrModel,
-    /// `pows[k] = x^k mod p(x)` for `k` in `0..=64`.
-    pows: [u64; 65],
-    state: u64,
-}
-
-impl WordMisr {
-    /// Creates a zero-initialized fused MISR of the given width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildLfsrError::UnsupportedDegree`] for widths outside
-    /// `2..=32`.
-    pub fn new(degree: u32) -> Result<Self, BuildLfsrError> {
-        Ok(Self::from_model(MisrModel::new(degree)?))
-    }
-
-    /// Creates a zero-initialized fused MISR from an existing model.
-    #[must_use]
-    pub fn from_model(model: MisrModel) -> Self {
-        let mut pows = [0u64; 65];
-        for (k, p) in pows.iter_mut().enumerate() {
-            *p = model.x_pow_mod(k as u64);
-        }
-        WordMisr {
-            model,
-            pows,
-            state: 0,
-        }
-    }
-
-    /// The linear model of this register.
-    #[must_use]
-    pub fn model(&self) -> MisrModel {
-        self.model
-    }
-
-    /// Advances `n` clocks (1..=64) in one step: bit `j` of `bits` is
-    /// the stage-0 input of the `j`-th of those clocks. Equivalent to
-    /// `n` single-bit [`Misr::clock`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is outside `1..=64` or `bits` has lanes at or
-    /// beyond `n`.
-    pub fn clock_word(&mut self, bits: u64, n: u32) {
-        assert!((1..=64).contains(&n), "word advance must clock 1..=64");
-        let lane_mask = if n == 64 { !0 } else { (1u64 << n) - 1 };
-        assert_eq!(bits & !lane_mask, 0, "input lanes beyond word length");
-        let mut acc = self.model.mul_mod(self.state, self.pows[n as usize]);
-        let mut rest = bits;
-        while rest != 0 {
-            let j = rest.trailing_zeros();
-            rest &= rest - 1;
-            acc ^= self.pows[(n - 1 - j) as usize];
-        }
-        self.state = acc;
-    }
-
-    /// The current signature.
-    #[must_use]
-    pub fn signature(&self) -> u64 {
-        self.state
-    }
-
-    /// Resets the register to zero for a new session.
-    pub fn reset(&mut self) {
-        self.state = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,60 +309,6 @@ mod tests {
             model.mul_mod(a, b ^ c),
             model.mul_mod(a, b) ^ model.mul_mod(a, c)
         );
-    }
-
-    #[test]
-    fn word_misr_matches_bitwise_across_degrees_and_lengths() {
-        // Deterministic stream; split into word advances of varying
-        // width, including full 64-bit words and ragged tails.
-        let mut x = 0x0DA7_E200_3BAD_C0DEu64;
-        let mut next = move || {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            x
-        };
-        for degree in [2u32, 8, 16, 31, 32] {
-            let model = MisrModel::new(degree).unwrap();
-            let mut bitwise = Misr::from_model(model);
-            let mut fused = WordMisr::from_model(model);
-            for n in [1u32, 7, 63, 64, 64, 33, 64, 5] {
-                let word = if n == 64 { next() } else { next() & ((1 << n) - 1) };
-                for j in 0..n {
-                    bitwise.clock(word >> j & 1);
-                }
-                fused.clock_word(word, n);
-                assert_eq!(
-                    bitwise.signature(),
-                    fused.signature(),
-                    "degree {degree} after advance of {n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn word_misr_reset_and_model() {
-        let mut fused = WordMisr::new(16).unwrap();
-        fused.clock_word(0b1011, 4);
-        assert_ne!(fused.signature(), 0);
-        fused.reset();
-        assert_eq!(fused.signature(), 0);
-        assert_eq!(fused.model().degree(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "word advance must clock 1..=64")]
-    fn word_misr_rejects_zero_advance() {
-        let mut fused = WordMisr::new(16).unwrap();
-        fused.clock_word(0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "input lanes beyond word length")]
-    fn word_misr_rejects_stray_lanes() {
-        let mut fused = WordMisr::new(16).unwrap();
-        fused.clock_word(0b100, 2);
     }
 
     #[test]

@@ -676,7 +676,7 @@ fn diagnose_single_fault<W: Write>(
     let report = scan_diagnosis::report::FaultReport::build(
         fault.describe(netlist),
         &plan,
-        errors.iter_bits(),
+        errors.iter_words(),
         &actual,
     );
     write!(out, "{report}").map_err(io_err)?;
@@ -790,6 +790,22 @@ mod tests {
         assert_eq!(code, 0, "output: {text}");
         assert!(text.contains("fault G10/SA1"));
         assert!(text.contains("final candidates"));
+    }
+
+    #[test]
+    fn too_many_groups_is_a_user_error_not_a_panic() {
+        // s27 has 4 observation positions; the default is 8 groups.
+        for args in [
+            &["diagnose", "s27", "--fault", "G10/SA1"][..],
+            &["diagnose", "s27", "--faults", "3"][..],
+        ] {
+            let (code, text) = run_to_string(args);
+            assert_eq!(code, 1, "{args:?}: {text}");
+            assert!(
+                text.contains("8 groups per partition exceed the 4 positions"),
+                "{args:?}: {text}"
+            );
+        }
     }
 
     #[test]
@@ -1099,7 +1115,7 @@ mod tests {
         let document = std::fs::read_to_string(&out_path).expect("bench output written");
         let parsed = scan_bench::suite::SuiteResult::from_json(&document).unwrap();
         assert_eq!(parsed.suite, "smoke");
-        assert_eq!(parsed.kernels.len(), 9);
+        assert_eq!(parsed.kernels.len(), 8);
 
         // The file it just wrote is its own fixed point under compare.
         let (code, text) = run_to_string(&["bench", "--compare", &out_str, "--baseline", &out_str]);

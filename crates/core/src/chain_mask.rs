@@ -19,7 +19,10 @@ use crate::session::DiagnosisPlan;
 /// `failed(partition, group, chain)`.
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub struct ChainMaskedOutcome {
-    fails: Vec<Vec<Vec<bool>>>,
+    groups: usize,
+    chains: usize,
+    /// Verdicts, indexed `(partition · groups + group) · chains + chain`.
+    fails: Vec<bool>,
 }
 
 impl ChainMaskedOutcome {
@@ -30,51 +33,49 @@ impl ChainMaskedOutcome {
     /// Panics if indices are out of range.
     #[must_use]
     pub fn failed(&self, partition: usize, group: u16, chain: usize) -> bool {
-        self.fails[partition][usize::from(group)][chain]
+        assert!(
+            usize::from(group) < self.groups && chain < self.chains,
+            "session index out of range"
+        );
+        self.fails[(partition * self.groups + usize::from(group)) * self.chains + chain]
     }
 
     /// Total sessions represented.
     #[must_use]
     pub fn num_sessions(&self) -> usize {
-        self.fails
-            .iter()
-            .map(|p| p.iter().map(Vec::len).sum::<usize>())
-            .sum()
+        self.fails.len()
     }
 }
 
-/// Runs every chain-masked session over a sparse error map.
+/// Runs every chain-masked session over packed error words
+/// (`(global cell, word_index, bits)` triples, as
+/// [`DiagnosisPlan::analyze_packed`] takes them): each cell's words
+/// compact into one signature, which lands in the session of its group
+/// on its chain in every partition.
+///
+/// # Panics
+///
+/// Panics if a cell or an encoded pattern is out of range.
 #[must_use]
-pub fn analyze_chain_masked<I>(plan: &DiagnosisPlan, error_bits: I) -> ChainMaskedOutcome
+pub fn analyze_chain_masked<I>(plan: &DiagnosisPlan, error_words: I) -> ChainMaskedOutcome
 where
-    I: IntoIterator<Item = (usize, usize)>,
+    I: IntoIterator<Item = (usize, usize, u64)>,
 {
     let chains = plan.layout().num_chains();
-    let groups = usize::from(
-        plan.partitions()
-            .iter()
-            .map(scan_bist::Partition::num_groups)
-            .max()
-            .unwrap_or(0),
-    );
-    let mut signatures = vec![vec![vec![0u64; chains]; groups]; plan.partitions().len()];
-    for (cell, pattern) in error_bits {
+    let groups = plan.max_groups();
+    let mut signatures = vec![0u64; plan.partitions().len() * groups * chains];
+    plan.model().compact_cells(error_words, |cell, signature| {
         let (chain, pos) = plan.layout().coord(cell);
-        let contribution = plan.contribution(cell, pattern);
         for (p, partition) in plan.partitions().iter().enumerate() {
             let g = usize::from(partition.group_of(pos as usize));
-            signatures[p][g][chain as usize] ^= contribution;
+            signatures[(p * groups + g) * chains + chain as usize] ^= signature;
         }
+    });
+    ChainMaskedOutcome {
+        groups,
+        chains,
+        fails: signatures.iter().map(|&s| s != 0).collect(),
     }
-    let fails = signatures
-        .iter()
-        .map(|p| {
-            p.iter()
-                .map(|g| g.iter().map(|&s| s != 0).collect())
-                .collect()
-        })
-        .collect();
-    ChainMaskedOutcome { fails }
 }
 
 /// Candidate cells under chain masking: a cell survives iff, in every
@@ -124,7 +125,7 @@ mod tests {
         let plan = multi_chain_plan(4, 32);
         // One error on chain 2, position 10.
         let cell = 2 * 32 + 10;
-        let outcome = analyze_chain_masked(&plan, [(cell, 3usize)]);
+        let outcome = analyze_chain_masked(&plan, [(cell, 0usize, 1u64 << 3)]);
         let candidates = diagnose_chain_masked(&plan, &outcome);
         assert!(candidates.contains(cell));
         // The same-position cells on other chains are pruned — unlike
@@ -138,11 +139,16 @@ mod tests {
     fn chain_masked_never_worse_than_baseline() {
         use crate::diagnose::diagnose;
         let plan = multi_chain_plan(3, 40);
-        let bits = [(5usize, 1usize), (47, 2), (100, 6)];
-        let masked = diagnose_chain_masked(&plan, &analyze_chain_masked(&plan, bits.iter().copied()));
-        let baseline = diagnose(&plan, &plan.analyze(bits.iter().copied()));
+        let words = [
+            (5usize, 0usize, 1u64 << 1),
+            (47, 0, 1 << 2),
+            (100, 0, 1 << 6),
+        ];
+        let masked =
+            diagnose_chain_masked(&plan, &analyze_chain_masked(&plan, words.iter().copied()));
+        let baseline = diagnose(&plan, &plan.analyze_packed(words.iter().copied()));
         assert!(masked.is_subset(baseline.candidates()));
-        for &(cell, _) in &bits {
+        for &(cell, _, _) in &words {
             assert!(masked.contains(cell));
         }
     }

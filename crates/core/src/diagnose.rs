@@ -79,7 +79,9 @@ impl Diagnosis {
 ///
 /// Cells in a passing group of any partition are pruned; what remains
 /// after each successive partition is recorded in
-/// [`Diagnosis::prefix_counts`].
+/// [`Diagnosis::prefix_counts`]. The work is proportional to the
+/// candidates: the first partition's failing groups seed them, and
+/// each later partition filters the survivors.
 #[must_use]
 pub fn diagnose(plan: &DiagnosisPlan, outcome: &SessionOutcome) -> Diagnosis {
     match diagnose_cancellable(plan, outcome, &CancelToken::new()) {
@@ -104,26 +106,25 @@ pub fn diagnose_cancellable(
     outcome: &SessionOutcome,
     cancel: &CancelToken,
 ) -> Result<Diagnosis, DiagnoseError> {
-    let layout = plan.layout();
-    let num_cells = layout.num_cells();
-    let mut candidates = BitSet::full(num_cells);
-    let mut prefix_counts = Vec::with_capacity(plan.partitions().len());
+    let num_partitions = plan.partitions().len();
+    let mut candidates: Vec<u32> = Vec::new();
+    let mut prefix_counts = Vec::with_capacity(num_partitions);
     let mut first_empty: Option<usize> = None;
-    for (p, partition) in plan.partitions().iter().enumerate() {
+    for p in 0..num_partitions {
         if cancel.is_cancelled() {
             return Err(DiagnoseError::Cancelled {
                 completed_partitions: p,
             });
         }
-        let mut keep = BitSet::new(num_cells);
-        for cell in &candidates {
-            let (_, pos) = layout.coord(cell);
-            let group = partition.group_of(pos as usize);
-            if outcome.failed(p, group) {
-                keep.insert(cell);
+        if p == 0 {
+            // The first partition's failing groups seed the candidates;
+            // groups past its group count hold no cells.
+            for group in outcome.failing_groups(0) {
+                candidates.extend_from_slice(plan.first_partition_cells(group));
             }
+        } else {
+            candidates.retain(|&cell| outcome.failed(p, plan.group_of(p, cell as usize)));
         }
-        candidates = keep;
         scan_obs::metrics::record_pow2("diagnose.candidates_per_step", candidates.len() as u64);
         prefix_counts.push(candidates.len());
         if candidates.is_empty() && first_empty.is_none() {
@@ -138,8 +139,12 @@ pub fn diagnose_cancellable(
             None => DiagnosisStatus::Consistent,
         }
     };
+    let mut set = BitSet::new(plan.layout().num_cells());
+    for cell in candidates {
+        set.insert(cell as usize);
+    }
     Ok(Diagnosis {
-        candidates,
+        candidates: set,
         prefix_counts,
         status,
     })

@@ -42,7 +42,7 @@ impl FaultDictionary {
         let mut exact: BTreeMap<Vec<u64>, Vec<Fault>> = BTreeMap::new();
         let mut passfail: BTreeMap<Vec<u64>, Vec<Fault>> = BTreeMap::new();
         for &(fault, ref errors) in cases {
-            let outcome = plan.analyze(errors.iter_bits());
+            let outcome = plan.analyze_packed(errors.iter_words());
             exact
                 .entry(Self::exact_key(plan, &outcome))
                 .or_default()
@@ -171,7 +171,7 @@ mod tests {
         let dict = FaultDictionary::build(&plan, &cases);
         assert_eq!(dict.num_faults(), cases.len());
         for (fault, errors) in &cases {
-            let outcome = plan.analyze(errors.iter_bits());
+            let outcome = plan.analyze_packed(errors.iter_words());
             let suspects = dict.lookup_exact(&plan, &outcome);
             assert!(
                 suspects.contains(fault),

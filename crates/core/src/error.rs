@@ -28,6 +28,15 @@ pub enum BuildPlanError {
     },
     /// The pattern set does not match the circuit interface.
     PatternShape(PatternShapeError),
+    /// More groups per partition were requested than there are
+    /// positions to partition, so some group would be empty.
+    TooManyGroups {
+        /// Groups requested per partition.
+        groups: u16,
+        /// Positions the partitions split (shift positions of the
+        /// chain, or patterns for failing-vector diagnosis).
+        positions: usize,
+    },
 }
 
 impl fmt::Display for BuildPlanError {
@@ -48,6 +57,10 @@ impl fmt::Display for BuildPlanError {
                 write!(f, "unsupported LFSR/MISR degree {degree}")
             }
             BuildPlanError::PatternShape(e) => write!(f, "{e}"),
+            BuildPlanError::TooManyGroups { groups, positions } => write!(
+                f,
+                "{groups} groups per partition exceed the {positions} positions to partition"
+            ),
         }
     }
 }

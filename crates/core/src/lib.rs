@@ -17,8 +17,10 @@
 //!
 //! 1. [`DiagnosisPlan`] — generates the scheme's partitions over a
 //!    [`ChainLayout`] and models the MISR linearly.
-//! 2. [`DiagnosisPlan::analyze`] — per-session pass/fail verdicts from
-//!    a fault's sparse error map (signature-aliasing faithful).
+//! 2. [`DiagnosisPlan::analyze_packed`] — per-session pass/fail
+//!    verdicts from a fault's sparse error map, one multiplication per
+//!    failing cell (signature-aliasing faithful; the per-bit
+//!    [`DiagnosisPlan::analyze`] is its test oracle).
 //! 3. [`diagnose`] — candidate cells by failing-group intersection.
 //! 4. [`prune_by_cover`] — post-processing refinement (the role of the
 //!    superposition pruning the paper cites).

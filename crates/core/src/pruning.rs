@@ -26,63 +26,95 @@ use crate::session::{DiagnosisPlan, SessionOutcome};
 /// `candidates` is the intersection-based candidate set from
 /// [`diagnose`](crate::diagnose::diagnose); the result is a subset that
 /// still explains every failing session.
+///
+/// The fixpoint runs on bit masks indexed by candidate, one per failing
+/// group that holds a candidate, all in one flat buffer: its cost
+/// follows the candidates and their failing groups, never the chain.
 #[must_use]
 pub fn prune_by_cover(
     plan: &DiagnosisPlan,
     outcome: &SessionOutcome,
     candidates: &BitSet,
 ) -> BitSet {
-    let layout = plan.layout();
-    // Collect failing groups as lists of candidate member cells.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (p, partition) in plan.partitions().iter().enumerate() {
-        let failing: Vec<bool> = (0..partition.num_groups())
-            .map(|g| outcome.failed(p, g))
-            .collect();
-        let mut members: Vec<Vec<usize>> =
-            vec![Vec::new(); usize::from(partition.num_groups())];
-        for cell in candidates {
-            let (_, pos) = layout.coord(cell);
-            let g = usize::from(partition.group_of(pos as usize));
-            if failing[g] {
-                members[g].push(cell);
+    let cells: Vec<usize> = candidates.iter().collect();
+    let words = cells.len().div_ceil(64).max(1);
+
+    // One mask of candidate indices per failing group with a candidate
+    // member. `row_of[g]` is group g's row if it lies at or past the
+    // current partition's first row, and stale otherwise.
+    let mut groups: Vec<u64> = Vec::new();
+    let mut row_of = vec![usize::MAX; plan.max_groups()];
+    for p in 0..plan.partitions().len() {
+        let first_row = groups.len() / words;
+        for (i, &cell) in cells.iter().enumerate() {
+            let group = plan.group_of(p, cell);
+            if !outcome.failed(p, group) {
+                continue;
             }
-        }
-        for (g, cells) in members.into_iter().enumerate() {
-            if failing[g] {
-                groups.push(cells);
+            let row = &mut row_of[usize::from(group)];
+            if *row == usize::MAX || *row < first_row {
+                *row = groups.len() / words;
+                groups.resize(groups.len() + words, 0);
             }
+            groups[*row * words + i / 64] |= 1 << (i % 64);
         }
     }
 
-    let mut current = candidates.clone();
+    let mut current = vec![0u64; words];
+    for i in 0..cells.len() {
+        current[i / 64] |= 1 << (i % 64);
+    }
+    let mut confirmed = vec![0u64; words];
+    let mut next = vec![0u64; words];
     loop {
         // Rule 1: single-candidate groups confirm their cell.
-        let mut confirmed = BitSet::new(current.capacity());
-        for group in &groups {
-            let members: Vec<usize> = group.iter().copied().filter(|&c| current.contains(c)).collect();
-            if members.len() == 1 {
-                confirmed.insert(members[0]);
+        confirmed.fill(0);
+        for group in groups.chunks_exact(words) {
+            if let Some(i) = sole_member(group, &current) {
+                confirmed[i / 64] |= 1 << (i % 64);
             }
         }
         // Rule 2: keep confirmed cells plus every member of a group not
         // yet explained by a confirmed cell.
-        let mut next = confirmed.clone();
-        for group in &groups {
-            let explained = group.iter().any(|&c| confirmed.contains(c));
+        next.copy_from_slice(&confirmed);
+        for group in groups.chunks_exact(words) {
+            let explained = group.iter().zip(&confirmed).any(|(g, c)| g & c != 0);
             if !explained {
-                for &c in group {
-                    if current.contains(c) {
-                        next.insert(c);
-                    }
+                for ((n, g), c) in next.iter_mut().zip(group).zip(&current) {
+                    *n |= g & c;
                 }
             }
         }
         if next == current {
-            return current;
+            break;
         }
-        current = next;
+        std::mem::swap(&mut current, &mut next);
     }
+
+    let mut pruned = BitSet::new(candidates.capacity());
+    for (i, &cell) in cells.iter().enumerate() {
+        if current[i / 64] >> (i % 64) & 1 != 0 {
+            pruned.insert(cell);
+        }
+    }
+    pruned
+}
+
+/// The index of the one candidate in both `group` and `current`, if
+/// there is exactly one.
+fn sole_member(group: &[u64], current: &[u64]) -> Option<usize> {
+    let mut sole = None;
+    for (w, (g, c)) in group.iter().zip(current).enumerate() {
+        let live = g & c;
+        if live == 0 {
+            continue;
+        }
+        if sole.is_some() || live & (live - 1) != 0 {
+            return None;
+        }
+        sole = Some(w * 64 + live.trailing_zeros() as usize);
+    }
+    sole
 }
 
 #[cfg(test)]

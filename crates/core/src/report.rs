@@ -33,21 +33,21 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Diagnoses one fault's error bits under `plan` and assembles the
-    /// report. `fault` is a display name; `actual` the ground-truth
-    /// failing positions (empty slice when unknown).
+    /// Diagnoses one fault's packed error words (`ErrorMap::iter_words`
+    /// triples, see [`DiagnosisPlan::analyze_packed`]) under `plan` and
+    /// assembles the report. `fault` is a display name; `actual` the
+    /// ground-truth failing positions (empty slice when unknown).
     #[must_use]
     pub fn build<I>(
         fault: impl Into<String>,
         plan: &DiagnosisPlan,
-        error_bits: I,
+        error_words: I,
         actual: &[usize],
     ) -> Self
     where
-        I: IntoIterator<Item = (usize, usize)>,
+        I: IntoIterator<Item = (usize, usize, u64)>,
     {
-        let bits: Vec<(usize, usize)> = error_bits.into_iter().collect();
-        let outcome = plan.analyze(bits.iter().copied());
+        let outcome = plan.analyze_packed(error_words);
         let diag = diagnose(plan, &outcome);
         let pruned = prune_by_cover(plan, &outcome, diag.candidates());
         Self::from_parts(fault, plan, &outcome, &diag, &pruned, actual)
@@ -163,7 +163,12 @@ mod tests {
             &BistConfig::new(4, 3, Scheme::TWO_STEP_DEFAULT),
         )
         .unwrap();
-        let report = FaultReport::build("demo/SA1", &plan, [(20usize, 3usize), (21, 4)], &[20, 21]);
+        let report = FaultReport::build(
+            "demo/SA1",
+            &plan,
+            [(20usize, 0usize, 1u64 << 3), (21, 0, 1 << 4)],
+            &[20, 21],
+        );
         assert_eq!(report.failing_groups.len(), 3);
         assert!(report.num_candidates() >= 2);
         let text = report.to_string();
@@ -181,7 +186,7 @@ mod tests {
             &BistConfig::new(2, 2, Scheme::RandomSelection),
         )
         .unwrap();
-        let report = FaultReport::build("x", &plan, [(5usize, 1usize)], &[]);
+        let report = FaultReport::build("x", &plan, [(5usize, 0usize, 1u64 << 1)], &[]);
         let total: usize = report.candidate_runs.iter().map(|&(s, e)| e - s + 1).sum();
         assert_eq!(total, report.num_candidates());
     }

@@ -62,8 +62,8 @@ impl TestProgram {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildPlanError`] on degenerate configurations or
-    /// unsupported register widths.
+    /// Returns [`BuildPlanError`] on degenerate configurations, more
+    /// groups than chain positions, or unsupported register widths.
     pub fn generate(
         chain_len: usize,
         num_patterns: usize,
@@ -72,6 +72,12 @@ impl TestProgram {
     ) -> Result<Self, BuildPlanError> {
         if chain_len == 0 || num_patterns == 0 || config.partitions == 0 || config.groups == 0 {
             return Err(BuildPlanError::DegenerateConfig);
+        }
+        if usize::from(config.groups) > chain_len {
+            return Err(BuildPlanError::TooManyGroups {
+                groups: config.groups,
+                positions: chain_len,
+            });
         }
         let misr_poly = primitive_poly(config.misr_degree)
             .map_err(|_| BuildPlanError::UnsupportedDegree {
@@ -173,37 +179,29 @@ impl TestProgram {
 ///
 /// Uses the same linear superposition machinery as diagnosis: the
 /// golden signature of a session is the MISR image of the golden `1`
-/// bits it compacts, so no stepwise replay is needed.
+/// bits it compacts, so it is [`DiagnosisPlan::analyze_packed`] over
+/// the golden response's words, with no stepwise replay.
 ///
 /// Returns `signatures[partition][group]`.
+///
+/// [`DiagnosisPlan::analyze_packed`]: crate::session::DiagnosisPlan::analyze_packed
 #[must_use]
 pub fn golden_signatures(
     plan: &crate::session::DiagnosisPlan,
     golden: &scan_sim::ResponseMap,
 ) -> Vec<Vec<u64>> {
-    let layout = plan.layout();
-    let groups = usize::from(
-        plan.partitions()
-            .iter()
-            .map(scan_bist::Partition::num_groups)
-            .max()
-            .unwrap_or(0),
+    let words = golden.num_patterns().div_ceil(64);
+    let outcome = plan.analyze_packed(
+        (0..plan.layout().num_cells())
+            .flat_map(|cell| (0..words).map(move |w| (cell, w, golden.word(cell, w)))),
     );
-    let mut signatures = vec![vec![0u64; groups]; plan.partitions().len()];
-    for cell in 0..layout.num_cells() {
-        let (_, pos) = layout.coord(cell);
-        for t in 0..plan.num_patterns() {
-            if !golden.bit(cell, t) {
-                continue;
-            }
-            let contribution = plan.contribution(cell, t);
-            for (p, partition) in plan.partitions().iter().enumerate() {
-                let g = usize::from(partition.group_of(pos as usize));
-                signatures[p][g] ^= contribution;
-            }
-        }
-    }
-    signatures
+    (0..outcome.num_partitions())
+        .map(|p| {
+            (0..outcome.num_groups(p) as u16)
+                .map(|g| outcome.error_signature(p, g))
+                .collect()
+        })
+        .collect()
 }
 
 impl fmt::Display for TestProgram {
@@ -235,6 +233,18 @@ impl fmt::Display for TestProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn more_groups_than_chain_positions_is_a_typed_error() {
+        let config = BistConfig::new(8, 2, Scheme::TWO_STEP_DEFAULT);
+        assert_eq!(
+            TestProgram::generate(4, 32, 1, &config).err(),
+            Some(BuildPlanError::TooManyGroups {
+                groups: 8,
+                positions: 4
+            })
+        );
+    }
 
     #[test]
     fn two_step_program_structure() {

@@ -12,6 +12,13 @@
 //! every session's pass/fail verdict directly from the sparse error map
 //! — bit-exact with replaying the hardware, including signature
 //! aliasing, at a small fraction of the cost.
+//!
+//! The contribution of bit (cell, pattern) factors as
+//! `pat_pow[pattern] · cell_factor[cell]`, so a cell's whole error
+//! stream compacts with XORs over its packed words' set lanes and one
+//! multiplication: [`DiagnosisPlan::analyze_packed`] never expands a
+//! word into bits and scatters each failing cell into the signatures
+//! once per partition.
 
 use scan_bist::partition::{generate_partitions, PartitionConfig};
 use scan_bist::{MisrModel, Partition, Scheme};
@@ -53,13 +60,16 @@ impl BistConfig {
 }
 
 /// Pass/fail outcome of every session of a diagnosis run.
+///
+/// The error signatures of all sessions live in one flat buffer, row
+/// `p` holding partition `p`'s groups; a group fails iff its signature
+/// is nonzero.
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub struct SessionOutcome {
-    /// `fails[p][g]` — whether group `g` of partition `p` failed.
-    fails: Vec<Vec<bool>>,
-    /// `signatures[p][g]` — the error signature of that session
-    /// (zero for passing groups).
-    signatures: Vec<Vec<u64>>,
+    /// Row `p` is `signatures[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<usize>,
+    /// Per-session error signatures (zero for passing groups).
+    signatures: Vec<u64>,
 }
 
 impl SessionOutcome {
@@ -68,11 +78,26 @@ impl SessionOutcome {
     /// is nonzero).
     #[must_use]
     pub fn from_signatures(signatures: Vec<Vec<u64>>) -> Self {
-        let fails = signatures
-            .iter()
-            .map(|row| row.iter().map(|&s| s != 0).collect())
-            .collect();
-        SessionOutcome { fails, signatures }
+        let mut offsets = Vec::with_capacity(signatures.len() + 1);
+        offsets.push(0);
+        let mut flat = Vec::new();
+        for row in signatures {
+            flat.extend(row);
+            offsets.push(flat.len());
+        }
+        SessionOutcome {
+            offsets,
+            signatures: flat,
+        }
+    }
+
+    /// An outcome of `partitions` rows of `groups` sessions each, from
+    /// their flat row-major signatures.
+    fn from_rows(partitions: usize, groups: usize, signatures: Vec<u64>) -> Self {
+        SessionOutcome {
+            offsets: (0..=partitions).map(|p| p * groups).collect(),
+            signatures,
+        }
     }
 
     /// Builds an outcome from bare per-session pass/fail verdicts
@@ -83,11 +108,17 @@ impl SessionOutcome {
     /// [`SessionOutcome::from_signatures`].
     #[must_use]
     pub fn from_verdicts(fails: Vec<Vec<bool>>) -> Self {
-        let signatures = fails
-            .iter()
-            .map(|row| row.iter().map(|&f| u64::from(f)).collect())
-            .collect();
-        SessionOutcome { fails, signatures }
+        SessionOutcome::from_signatures(
+            fails
+                .into_iter()
+                .map(|row| row.into_iter().map(u64::from).collect())
+                .collect(),
+        )
+    }
+
+    /// One partition's session signatures.
+    fn row(&self, partition: usize) -> &[u64] {
+        &self.signatures[self.offsets[partition]..self.offsets[partition + 1]]
     }
 
     /// Whether group `g` of partition `p` failed.
@@ -97,7 +128,7 @@ impl SessionOutcome {
     /// Panics if indices are out of range.
     #[must_use]
     pub fn failed(&self, partition: usize, group: u16) -> bool {
-        self.fails[partition][usize::from(group)]
+        self.error_signature(partition, group) != 0
     }
 
     /// The error signature of a session.
@@ -107,13 +138,13 @@ impl SessionOutcome {
     /// Panics if indices are out of range.
     #[must_use]
     pub fn error_signature(&self, partition: usize, group: u16) -> u64 {
-        self.signatures[partition][usize::from(group)]
+        self.row(partition)[usize::from(group)]
     }
 
     /// Number of partitions.
     #[must_use]
     pub fn num_partitions(&self) -> usize {
-        self.fails.len()
+        self.offsets.len() - 1
     }
 
     /// Number of session groups recorded for one partition.
@@ -123,15 +154,15 @@ impl SessionOutcome {
     /// Panics if `partition` is out of range.
     #[must_use]
     pub fn num_groups(&self, partition: usize) -> usize {
-        self.fails[partition].len()
+        self.row(partition).len()
     }
 
     /// Failing groups of one partition.
     pub fn failing_groups(&self, partition: usize) -> impl Iterator<Item = u16> + '_ {
-        self.fails[partition]
+        self.row(partition)
             .iter()
             .enumerate()
-            .filter(|&(_, &f)| f)
+            .filter(|&(_, &s)| s != 0)
             .map(|(g, _)| g as u16)
     }
 
@@ -139,7 +170,7 @@ impl SessionOutcome {
     /// was undetected).
     #[must_use]
     pub fn all_passed(&self) -> bool {
-        self.fails.iter().flatten().all(|&f| !f)
+        self.signatures.iter().all(|&s| s == 0)
     }
 }
 
@@ -163,6 +194,9 @@ pub struct ResponseModel {
     pat_pow: Vec<u64>,
     /// `x^stage mod p` per chain index.
     stage_pow: Vec<u64>,
+    /// `pos_pow[pos] · stage_pow[chain]` per cell: the contribution of
+    /// bit (cell, t) is `pat_pow[t] · cell_factor[cell]`.
+    cell_factor: Vec<u64>,
 }
 
 impl ResponseModel {
@@ -213,6 +247,12 @@ impl ResponseModel {
         let stage_pow: Vec<u64> = (0..layout.num_chains() as u64)
             .map(|s| misr.x_pow_mod(s))
             .collect();
+        let cell_factor = (0..layout.num_cells())
+            .map(|cell| {
+                let (chain, pos) = layout.coord(cell);
+                misr.mul_mod(pos_pow[pos as usize], stage_pow[chain as usize])
+            })
+            .collect();
         Ok(ResponseModel {
             layout,
             num_patterns,
@@ -220,6 +260,7 @@ impl ResponseModel {
             pos_pow,
             pat_pow,
             stage_pow,
+            cell_factor,
         })
     }
 
@@ -262,6 +303,52 @@ impl ResponseModel {
         self.misr.mul_mod(a, self.stage_pow[chain as usize])
     }
 
+    /// Compacts packed error words — `(cell, word_index, bits)`, bit `l`
+    /// of `bits` standing for pattern `word_index * 64 + l` — into
+    /// per-cell signatures, calling `sink(cell, signature)` for each
+    /// run of consecutive words of one cell whose signature is nonzero.
+    ///
+    /// A word costs one XOR of `pat_pow` per set lane; a run costs one
+    /// multiplication by the cell's factor. Input sorted by cell (as
+    /// `ErrorMap::iter_words` yields it) makes one run per cell; any
+    /// order is correct, because signatures add by XOR.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell or an encoded pattern is out of range.
+    pub(crate) fn compact_cells<I, F>(&self, error_words: I, mut sink: F)
+    where
+        I: IntoIterator<Item = (usize, usize, u64)>,
+        F: FnMut(usize, u64),
+    {
+        let mut flush = |cell: usize, image: u64| {
+            let factor = self.cell_factor[cell];
+            if image != 0 {
+                sink(cell, self.misr.mul_mod(image, factor));
+            }
+        };
+        let mut run: Option<(usize, u64)> = None;
+        for (cell, word, bits) in error_words {
+            let mut image = 0u64;
+            let mut rest = bits;
+            while rest != 0 {
+                image ^= self.pat_pow[word * 64 + rest.trailing_zeros() as usize];
+                rest &= rest - 1;
+            }
+            match &mut run {
+                Some((current, acc)) if *current == cell => *acc ^= image,
+                _ => {
+                    if let Some((current, acc)) = run.replace((cell, image)) {
+                        flush(current, acc);
+                    }
+                }
+            }
+        }
+        if let Some((cell, acc)) = run {
+            flush(cell, acc);
+        }
+    }
+
     /// The error signature of one session that compacts exactly the
     /// error bits accepted by `selected`.
     #[must_use]
@@ -282,10 +369,23 @@ impl ResponseModel {
 
 /// A fully elaborated diagnosis setup: the response model plus the
 /// scheme's partitions over shift positions.
+///
+/// Beyond the partitions, a plan keeps the model's per-cell factors
+/// and the cells of each group of the first partition — O(partitions ×
+/// positions + cells + patterns) words in all — so per-fault analysis,
+/// intersection and pruning cost in proportion to the failing cells,
+/// not the chain.
 #[derive(Clone, Debug)]
 pub struct DiagnosisPlan {
     model: ResponseModel,
     partitions: Vec<Partition>,
+    /// Sessions per partition row of a [`SessionOutcome`]: the largest
+    /// group count of any partition.
+    max_groups: usize,
+    /// Cells of group `g` of the first partition:
+    /// `first_cells[first_offsets[g]..first_offsets[g + 1]]`.
+    first_offsets: Vec<u32>,
+    first_cells: Vec<u32>,
 }
 
 impl DiagnosisPlan {
@@ -295,8 +395,8 @@ impl DiagnosisPlan {
     /// # Errors
     ///
     /// Returns [`BuildPlanError`] if the configuration is degenerate,
-    /// the MISR cannot host one stage per chain, or a degree is
-    /// unsupported.
+    /// asks for more groups than shift positions, the MISR cannot host
+    /// one stage per chain, or a degree is unsupported.
     pub fn new(
         layout: ChainLayout,
         num_patterns: usize,
@@ -306,12 +406,40 @@ impl DiagnosisPlan {
             return Err(BuildPlanError::DegenerateConfig);
         }
         let model = ResponseModel::new(layout, num_patterns, config.misr_degree)?;
-        let mut partition_config =
-            PartitionConfig::new(model.layout().max_len(), config.groups);
+        let positions = model.layout().max_len();
+        if usize::from(config.groups) > positions {
+            return Err(BuildPlanError::TooManyGroups {
+                groups: config.groups,
+                positions,
+            });
+        }
+        let mut partition_config = PartitionConfig::new(positions, config.groups);
         partition_config.lfsr_degree = config.partition_lfsr_degree;
         partition_config.seed = config.partition_seed;
         let partitions = generate_partitions(&partition_config, config.scheme, config.partitions);
-        Ok(DiagnosisPlan { model, partitions })
+        let max_groups = partitions
+            .iter()
+            .map(|p| usize::from(p.num_groups()))
+            .max()
+            .unwrap_or(0);
+
+        // The cells grouped by first-partition group; the sort is
+        // stable, so each group's cells stay in ascending order.
+        let layout = model.layout();
+        let first = &partitions[0];
+        let group_of = |cell: u32| first.group_of(layout.coord(cell as usize).1 as usize);
+        let mut first_cells: Vec<u32> = (0..layout.num_cells() as u32).collect();
+        first_cells.sort_by_key(|&cell| group_of(cell));
+        let first_offsets = (0..=first.num_groups())
+            .map(|g| first_cells.partition_point(|&cell| group_of(cell) < g) as u32)
+            .collect();
+        Ok(DiagnosisPlan {
+            model,
+            partitions,
+            max_groups,
+            first_offsets,
+            first_cells,
+        })
     }
 
     /// The underlying response model.
@@ -350,6 +478,36 @@ impl DiagnosisPlan {
         self.model.total_clocks()
     }
 
+    /// The largest group count of any partition: the number of
+    /// sessions per partition row of every [`SessionOutcome`] this
+    /// plan produces.
+    #[must_use]
+    pub(crate) fn max_groups(&self) -> usize {
+        self.max_groups
+    }
+
+    /// The cells of group `group` of the first partition, in ascending
+    /// order (empty past the partition's group count).
+    #[must_use]
+    pub(crate) fn first_partition_cells(&self, group: u16) -> &[u32] {
+        let g = usize::from(group);
+        if g + 1 >= self.first_offsets.len() {
+            return &[];
+        }
+        &self.first_cells[self.first_offsets[g] as usize..self.first_offsets[g + 1] as usize]
+    }
+
+    /// The group of `cell` in partition `partition`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range.
+    #[must_use]
+    pub(crate) fn group_of(&self, partition: usize, cell: usize) -> u16 {
+        let (_, pos) = self.model.layout().coord(cell);
+        self.partitions[partition].group_of(pos as usize)
+    }
+
     /// The contribution of one error bit (`cell`, `pattern`) to its
     /// session signature, via the precomputed tables.
     ///
@@ -361,9 +519,13 @@ impl DiagnosisPlan {
         self.model.contribution(cell, pattern)
     }
 
-    /// Runs every session over a sparse error map (iterator of
-    /// `(global cell, pattern)` error bits) and returns the pass/fail
-    /// verdicts.
+    /// Per-bit reference analysis: runs every session over error bits
+    /// given one by one as `(global cell, pattern)` and returns the
+    /// pass/fail verdicts.
+    ///
+    /// This is the test oracle of [`DiagnosisPlan::analyze_packed`],
+    /// the production path: it costs two bit-serial multiplications
+    /// and one scatter per partition for every error bit.
     ///
     /// # Panics
     ///
@@ -373,55 +535,52 @@ impl DiagnosisPlan {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let groups = usize::from(
-            self.partitions
-                .iter()
-                .map(Partition::num_groups)
-                .max()
-                .unwrap_or(0),
-        );
-        let mut signatures = vec![vec![0u64; groups]; self.partitions.len()];
+        let groups = self.max_groups;
+        let mut signatures = vec![0u64; groups * self.partitions.len()];
         for (cell, pattern) in error_bits {
             let (_, pos) = self.model.layout().coord(cell);
             let contribution = self.model.contribution(cell, pattern);
             for (p, partition) in self.partitions.iter().enumerate() {
                 let g = usize::from(partition.group_of(pos as usize));
-                signatures[p][g] ^= contribution;
+                signatures[p * groups + g] ^= contribution;
             }
         }
-        SessionOutcome::from_signatures(signatures)
+        SessionOutcome::from_rows(self.partitions.len(), groups, signatures)
     }
 
-    /// Word-level [`DiagnosisPlan::analyze`]: consumes *packed* error
-    /// words — `(global cell, word_index, bits)` triples where bit `l`
-    /// of `bits` is the error bit of pattern `word_index * 64 + l` —
-    /// as produced by `ErrorMap::iter_words` or streamed straight from
-    /// the PPSFP simulator's word sweep.
+    /// Runs every session over *packed* error words —
+    /// `(global cell, word_index, bits)` triples where bit `l` of
+    /// `bits` is the error bit of pattern `word_index * 64 + l` — as
+    /// produced by `ErrorMap::iter_words` or streamed straight from
+    /// the PPSFP simulator's word sweep, and returns the pass/fail
+    /// verdicts.
     ///
-    /// MISR compaction is thereby fused into the word-level data path:
-    /// signatures accumulate per packed word with no intermediate
-    /// per-bit pair materialization. Bit-identical to
-    /// [`DiagnosisPlan::analyze`] over the expanded bits (signature
-    /// accumulation is XOR, so order never matters).
+    /// Words are never expanded into bits: each word XORs `pat_pow`
+    /// over its set lanes, each cell's words compact into one signature
+    /// with a single multiplication by the cell's `pos_pow · stage_pow`
+    /// factor, and that signature is scattered into its group of every
+    /// partition. The triples may
+    /// come in any order; sorted by cell they cost one multiplication
+    /// and one scatter per failing cell. Bit-identical to
+    /// [`DiagnosisPlan::analyze`] over the expanded bits.
     ///
     /// # Panics
     ///
-    /// Panics if any encoded error bit is out of range.
+    /// Panics if a cell or an encoded pattern is out of range.
     #[must_use]
     pub fn analyze_packed<I>(&self, error_words: I) -> SessionOutcome
     where
         I: IntoIterator<Item = (usize, usize, u64)>,
     {
-        self.analyze(error_words.into_iter().flat_map(|(cell, w, bits)| {
-            std::iter::successors(
-                (bits != 0).then_some(bits),
-                |&rest| {
-                    let rest = rest & (rest - 1);
-                    (rest != 0).then_some(rest)
-                },
-            )
-            .map(move |rest| (cell, w * 64 + rest.trailing_zeros() as usize))
-        }))
+        let groups = self.max_groups;
+        let mut signatures = vec![0u64; groups * self.partitions.len()];
+        self.model.compact_cells(error_words, |cell, signature| {
+            let (_, pos) = self.model.layout().coord(cell);
+            for (row, partition) in signatures.chunks_exact_mut(groups).zip(&self.partitions) {
+                row[usize::from(partition.group_of(pos as usize))] ^= signature;
+            }
+        });
+        SessionOutcome::from_rows(self.partitions.len(), groups, signatures)
     }
 }
 
@@ -541,6 +700,20 @@ mod tests {
         let p = plan(10, 2, 2, 1);
         let outcome = p.analyze([(4usize, 1usize), (4, 1)]);
         assert!(outcome.all_passed());
+    }
+
+    #[test]
+    fn more_groups_than_positions_is_a_typed_error() {
+        // Two chains of at most 3 shift positions: 4 groups cannot fit.
+        let layout = ChainLayout::from_coords(vec![(0, 0), (0, 1), (0, 2), (1, 0)]);
+        let err = DiagnosisPlan::new(layout, 8, &BistConfig::new(4, 2, Scheme::TWO_STEP_DEFAULT));
+        assert_eq!(
+            err.err(),
+            Some(BuildPlanError::TooManyGroups {
+                groups: 4,
+                positions: 3
+            })
+        );
     }
 
     #[test]

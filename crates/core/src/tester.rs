@@ -54,7 +54,9 @@ impl<'a> VirtualTester<'a> {
     /// # Errors
     ///
     /// Returns [`BuildPlanError::DegenerateConfig`] for empty configs,
-    /// [`BuildPlanError::UnsupportedDegree`] for bad register widths,
+    /// [`BuildPlanError::TooManyGroups`] for more groups than scan
+    /// positions, [`BuildPlanError::UnsupportedDegree`] for bad
+    /// register widths,
     /// or [`BuildPlanError::PatternShape`] if `patterns` does not match
     /// the netlist interface.
     pub fn new(
@@ -65,6 +67,12 @@ impl<'a> VirtualTester<'a> {
     ) -> Result<Self, BuildPlanError> {
         if config.partitions == 0 || config.groups == 0 || patterns.num_patterns() == 0 {
             return Err(BuildPlanError::DegenerateConfig);
+        }
+        if usize::from(config.groups) > view.len() {
+            return Err(BuildPlanError::TooManyGroups {
+                groups: config.groups,
+                positions: view.len(),
+            });
         }
         if Misr::new(config.misr_degree).is_err() {
             return Err(BuildPlanError::UnsupportedDegree {
@@ -335,7 +343,7 @@ mod tests {
                 DiagnosisPlan::new(ChainLayout::single_chain(view.len()), 24, &config).unwrap();
             for fault in &faults {
                 let hw_run = tester.diagnose(fault);
-                let outcome = plan.analyze(fsim.error_map(fault).iter_bits());
+                let outcome = plan.analyze_packed(fsim.error_map(fault).iter_words());
                 for (p, partition) in plan.partitions().iter().enumerate() {
                     for g in 0..partition.num_groups() {
                         assert_eq!(

@@ -31,8 +31,8 @@ impl VectorDiagnosisPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildPlanError`] if the configuration is degenerate or
-    /// a degree is unsupported.
+    /// Returns [`BuildPlanError`] if the configuration is degenerate,
+    /// asks for more groups than patterns, or a degree is unsupported.
     pub fn new(
         model: ResponseModel,
         groups: u16,
@@ -45,7 +45,10 @@ impl VectorDiagnosisPlan {
             return Err(BuildPlanError::DegenerateConfig);
         }
         if usize::from(groups) > model.num_patterns() {
-            return Err(BuildPlanError::DegenerateConfig);
+            return Err(BuildPlanError::TooManyGroups {
+                groups,
+                positions: model.num_patterns(),
+            });
         }
         let mut config = PartitionConfig::new(model.num_patterns(), groups);
         config.lfsr_degree = partition_lfsr_degree;
@@ -187,6 +190,12 @@ mod tests {
     #[test]
     fn too_many_groups_rejected() {
         let err = VectorDiagnosisPlan::new(model(16, 4), 8, 2, Scheme::RandomSelection, 16, 1);
-        assert!(matches!(err, Err(BuildPlanError::DegenerateConfig)));
+        assert!(matches!(
+            err,
+            Err(BuildPlanError::TooManyGroups {
+                groups: 8,
+                positions: 4
+            })
+        ));
     }
 }

@@ -195,6 +195,17 @@ fn malformed_lines_get_error_lines_not_connection_drops() {
     assert_eq!(field(lines[2], "id"), Some("c"), "id echoes even on error");
     assert_eq!(field(lines[2], "code"), Some("unknown-circuit"));
 
+    // More groups than s27's 4 positions is a typed plan error, not a
+    // worker panic.
+    let too_many = "{\"id\":\"g\",\"circuit\":\"s27\",\"groups\":8,\"partitions\":3,\
+                    \"patterns\":16,\"failing\":[[1],[],[]]}\n";
+    let reply = post_diagnose(addr, too_many);
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let line = reply.lines()[0];
+    assert_eq!(field(line, "status"), Some("error"), "line: {line}");
+    assert_eq!(field(line, "code"), Some("bad-plan"), "line: {line}");
+    assert_eq!(field(line, "http"), Some("400"), "line: {line}");
+
     // An empty batch is a request-level 400.
     assert_eq!(post_diagnose(addr, "\n\n").status, 400);
 

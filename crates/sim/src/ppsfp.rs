@@ -19,12 +19,13 @@
 //!   fault at the first pattern word that produces an observed error —
 //!   once a fault's failing status is resolved, the remaining words are
 //!   dropped (`ppsfp.faults_dropped` counts the early exits).
-//! * **Fused compaction.** [`PpsfpSimulator::sweep`] streams packed
+//! * **Sparse error maps.** [`PpsfpSimulator::sweep`] streams packed
 //!   `(position, word, diff)` triples to a caller-supplied sink during
-//!   the propagation sweep itself, so MISR signature accumulation (see
-//!   `scan_bist::WordMisr` and `DiagnosisPlan::analyze_packed` in
-//!   `scan-diagnosis`) consumes error words without an intermediate
-//!   per-bit pass.
+//!   the propagation sweep itself. [`PpsfpSimulator::error_map`] keeps
+//!   exactly those triples as a sparse [`ErrorMap`], so a fault costs
+//!   its observed error words, never a chain-sized map, and MISR
+//!   signature accumulation (`DiagnosisPlan::analyze_packed` in
+//!   `scan-diagnosis`) consumes the words without a per-bit pass.
 //!
 //! The engine is bit-exact with the oracle; the differential harness
 //! `tests/engine_diff.rs` proves it over generated circuits, pattern
@@ -158,12 +159,11 @@ impl<'a> PpsfpSimulator<'a> {
     /// wins.
     pub fn error_map_multi(&mut self, faults: &[Fault]) -> ErrorMap {
         scan_obs::metrics::incr("fault_sim.error_maps");
-        let mut errors = ResponseMap::zeroed(self.view_len, self.patterns.num_patterns());
+        let mut words = Vec::new();
         self.sweep(faults, |pos, word, diff| {
-            let current = errors.word(pos as usize, word);
-            errors.set_word(pos as usize, word, current | diff);
+            words.push((pos, word as u32, diff));
         });
-        ErrorMap::from(errors)
+        ErrorMap::from_words(self.view_len, self.patterns.num_patterns(), words)
     }
 
     /// Returns `true` if the fault flips at least one observed bit,

@@ -1,4 +1,5 @@
-//! Observed responses and error maps.
+//! Observed responses (dense [`ResponseMap`]) and error maps (sparse
+//! [`ErrorMap`]).
 
 use scan_netlist::BitSet;
 
@@ -6,10 +7,10 @@ use scan_netlist::BitSet;
 /// cell or primary output, in [`ScanView`](scan_netlist::ScanView)
 /// order), 64 patterns per word.
 ///
-/// Rows live in one flat row-major allocation: a fault simulator
-/// builds one map per candidate fault, so construction cost is on the
-/// campaign-preparation hot path and a per-row `Vec` would mean one
-/// heap allocation per observation position per fault.
+/// Rows live in one flat row-major allocation. Golden responses are
+/// dense, as is every faulty response of the reference oracle
+/// ([`FaultSimulator`](crate::FaultSimulator)); what a fault *changed*
+/// is kept sparsely, as an [`ErrorMap`].
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub struct ResponseMap {
     num_patterns: usize,
@@ -94,36 +95,38 @@ impl ResponseMap {
     pub fn xor(&self, golden: &ResponseMap) -> ErrorMap {
         assert_eq!(self.num_patterns, golden.num_patterns, "pattern counts differ");
         assert_eq!(self.num_positions, golden.num_positions, "position counts differ");
-        let data = self
-            .data
-            .iter()
-            .zip(&golden.data)
-            .map(|(x, y)| x ^ y)
-            .collect();
-        ErrorMap {
-            inner: ResponseMap {
-                num_patterns: self.num_patterns,
-                num_positions: self.num_positions,
-                data,
-            },
-        }
+        let diff = self.data.iter().zip(&golden.data).map(|(x, y)| x ^ y);
+        ErrorMap::from_dense(self.num_positions, self.num_patterns, diff)
     }
 }
+
+/// One nonzero packed error word: `(position, word index, bits)`.
+/// 16 bytes, so an error map costs 16 bytes per nonzero word.
+type ErrorWord = (u32, u32, u64);
 
 /// The difference between a faulty and the fault-free response: bit
 /// `(position, pattern)` is set iff the fault flipped that observed
 /// value.
+///
+/// The map is *sparse*: it stores only its nonzero packed words, 16
+/// bytes each, sorted by `(position, word)` with no duplicates. A fault
+/// fails a small, clustered segment of the chain, so a detected fault
+/// typically holds a handful of words where a dense map of a
+/// thousand-cell chain would hold thousands; every accessor costs in
+/// proportion to the errors, not the chain. The sorted, merged form is
+/// canonical, so `==` compares error bits.
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub struct ErrorMap {
-    inner: ResponseMap,
+    num_positions: usize,
+    num_patterns: usize,
+    /// Nonzero words, sorted by `(position, word)`, one per key.
+    words: Vec<ErrorWord>,
 }
 
 impl From<ResponseMap> for ErrorMap {
-    /// Interprets an already-differenced bit map as error bits (used by
-    /// engines that accumulate diffs directly instead of XOR-ing two
-    /// full responses).
-    fn from(inner: ResponseMap) -> Self {
-        ErrorMap { inner }
+    /// Interprets an already-differenced bit map as error bits.
+    fn from(dense: ResponseMap) -> Self {
+        ErrorMap::from_dense(dense.num_positions, dense.num_patterns, dense.data)
     }
 }
 
@@ -132,7 +135,52 @@ impl ErrorMap {
     #[must_use]
     pub fn empty(positions: usize, num_patterns: usize) -> Self {
         ErrorMap {
-            inner: ResponseMap::zeroed(positions, num_patterns),
+            num_positions: positions,
+            num_patterns,
+            words: Vec::new(),
+        }
+    }
+
+    /// Keeps the nonzero words of a row-major dense word stream.
+    fn from_dense<I: IntoIterator<Item = u64>>(
+        positions: usize,
+        num_patterns: usize,
+        data: I,
+    ) -> Self {
+        let stride = num_patterns.div_ceil(64).max(1);
+        let words = data
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, bits)| bits != 0)
+            .map(|(i, bits)| ((i / stride) as u32, (i % stride) as u32, bits))
+            .collect();
+        ErrorMap {
+            num_positions: positions,
+            num_patterns,
+            words,
+        }
+    }
+
+    /// Builds an error map from packed `(position, word, bits)` words in
+    /// any order: sorts them and OR-merges repeated keys. Words must be
+    /// nonzero, lane-masked and in range.
+    pub(crate) fn from_words(
+        positions: usize,
+        num_patterns: usize,
+        mut words: Vec<ErrorWord>,
+    ) -> Self {
+        words.sort_unstable_by_key(|&(pos, word, _)| (pos, word));
+        words.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 |= next.2;
+            }
+            same
+        });
+        ErrorMap {
+            num_positions: positions,
+            num_patterns,
+            words,
         }
     }
 
@@ -146,25 +194,38 @@ impl ErrorMap {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let mut inner = ResponseMap::zeroed(positions, num_patterns);
-        for (pos, pat) in bits {
-            assert!(pat < num_patterns, "pattern out of range");
-            let w = inner.word(pos, pat / 64) | 1 << (pat % 64);
-            inner.set_word(pos, pat / 64, w);
-        }
-        ErrorMap { inner }
+        let words = bits
+            .into_iter()
+            .map(|(pos, pat)| {
+                assert!(pos < positions, "position out of range");
+                assert!(pat < num_patterns, "pattern out of range");
+                (pos as u32, (pat / 64) as u32, 1u64 << (pat % 64))
+            })
+            .collect();
+        ErrorMap::from_words(positions, num_patterns, words)
     }
 
     /// Number of observation positions.
     #[must_use]
     pub fn num_positions(&self) -> usize {
-        self.inner.num_positions()
+        self.num_positions
     }
 
     /// Number of patterns.
     #[must_use]
     pub fn num_patterns(&self) -> usize {
-        self.inner.num_patterns()
+        self.num_patterns
+    }
+
+    /// The stored words of one position (empty when it captured no
+    /// error).
+    fn row(&self, position: usize) -> &[ErrorWord] {
+        assert!(position < self.num_positions, "position out of range");
+        let start = self
+            .words
+            .partition_point(|&(pos, _, _)| (pos as usize) < position);
+        let len = self.words[start..].partition_point(|&(pos, _, _)| pos as usize == position);
+        &self.words[start..start + len]
     }
 
     /// Whether the error bit at (position, pattern) is set.
@@ -174,44 +235,36 @@ impl ErrorMap {
     /// Panics if indices are out of range.
     #[must_use]
     pub fn bit(&self, position: usize, pattern: usize) -> bool {
-        self.inner.bit(position, pattern)
+        assert!(pattern < self.num_patterns, "pattern out of range");
+        let word = (pattern / 64) as u32;
+        self.row(position)
+            .iter()
+            .find(|&&(_, w, _)| w == word)
+            .is_some_and(|&(_, _, bits)| bits >> (pattern % 64) & 1 != 0)
     }
 
     /// Returns `true` if the fault produced at least one error.
     #[must_use]
     pub fn is_detected(&self) -> bool {
-        self.inner.data.iter().any(|&w| w != 0)
+        !self.words.is_empty()
     }
 
     /// Total number of error bits.
     #[must_use]
     pub fn num_error_bits(&self) -> usize {
-        self.inner
-            .data
+        self.words
             .iter()
-            .map(|w| w.count_ones() as usize)
+            .map(|&(_, _, bits)| bits.count_ones() as usize)
             .sum()
-    }
-
-    /// Rows as `(position, packed words)`, skipping nothing.
-    fn rows(&self) -> impl Iterator<Item = (usize, &[u64])> + '_ {
-        // `max(1)` keeps `chunks_exact` well-defined for degenerate
-        // zero-pattern maps (which hold no data at all).
-        self.inner
-            .data
-            .chunks_exact(self.inner.stride().max(1))
-            .enumerate()
     }
 
     /// The failing positions: every observation point that captured at
     /// least one error.
     #[must_use]
     pub fn failing_positions(&self) -> BitSet {
-        let mut set = BitSet::new(self.num_positions());
-        for (pos, row) in self.rows() {
-            if row.iter().any(|&w| w != 0) {
-                set.insert(pos);
-            }
+        let mut set = BitSet::new(self.num_positions);
+        for &(pos, _, _) in &self.words {
+            set.insert(pos as usize);
         }
         set
     }
@@ -219,29 +272,24 @@ impl ErrorMap {
     /// Iterates over all error bits as `(position, pattern)` pairs, in
     /// position-major order.
     pub fn iter_bits(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.rows().flat_map(|(pos, row)| {
-            row.iter().enumerate().flat_map(move |(w, &word)| {
-                BitLanes(word).map(move |lane| (pos, w * 64 + lane))
-            })
+        self.iter_words().flat_map(|(pos, w, bits)| {
+            BitLanes(bits).map(move |lane| (pos, w * 64 + lane))
         })
     }
 
     /// Iterates over the nonzero packed error words as
-    /// `(position, word_index, bits)` triples, in position-major order:
-    /// bit `l` of `bits` is the error bit of pattern
+    /// `(position, word_index, bits)` triples, sorted by position and
+    /// then word: bit `l` of `bits` is the error bit of pattern
     /// `word_index * 64 + l`.
     ///
-    /// This is the word-level feed for fused MISR compaction
-    /// (`DiagnosisPlan::analyze_packed` in `scan-diagnosis`): signature
-    /// accumulation consumes packed words straight from the map, with
-    /// no intermediate per-bit pair stream.
+    /// This is the feed of MISR compaction
+    /// (`DiagnosisPlan::analyze_packed` in `scan-diagnosis`), which
+    /// consumes the stored words directly: no per-bit expansion, and
+    /// one run of words per failing cell.
     pub fn iter_words(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        self.rows().flat_map(|(pos, row)| {
-            row.iter()
-                .enumerate()
-                .filter(|(_, &word)| word != 0)
-                .map(move |(w, &word)| (pos, w, word))
-        })
+        self.words
+            .iter()
+            .map(|&(pos, w, bits)| (pos as usize, w as usize, bits))
     }
 
     /// Iterates over the error patterns of one position.
@@ -250,11 +298,9 @@ impl ErrorMap {
     ///
     /// Panics if `position` is out of range.
     pub fn errors_at(&self, position: usize) -> impl Iterator<Item = usize> + '_ {
-        self.inner
-            .row(position)
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| BitLanes(word).map(move |lane| w * 64 + lane))
+        self.row(position).iter().flat_map(|&(_, w, bits)| {
+            BitLanes(bits).map(move |lane| w as usize * 64 + lane)
+        })
     }
 }
 

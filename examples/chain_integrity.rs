@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         64,
         &BistConfig::new(4, 4, Scheme::TWO_STEP_DEFAULT),
     )?;
-    let diag = diagnose_checked(&plan, &plan.analyze(errors.iter_bits()))?;
+    let diag = diagnose_checked(&plan, &plan.analyze_packed(errors.iter_words()))?;
     println!(
         "healthy chain: logic fault {} narrows to {} candidate cells",
         fault.describe(&circuit),

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if !errors.is_detected() {
             continue;
         }
-        let outcome = plan.analyze(errors.iter_bits());
+        let outcome = plan.analyze_packed(errors.iter_words());
         let diag = diagnose_checked(&plan, &outcome)?;
         acc.add(diag.num_candidates(), errors.failing_positions().len());
     }

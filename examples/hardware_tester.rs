@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Fast path: linear superposition over the sparse error map.
     let plan = DiagnosisPlan::new(ChainLayout::single_chain(view.len()), num_patterns, &config)?;
-    let outcome = plan.analyze(errors.iter_bits());
+    let outcome = plan.analyze_packed(errors.iter_words());
     let engine = diagnose_checked(&plan, &outcome)?;
     println!("fast engine:  {} candidates", engine.num_candidates());
 

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         64,
         &BistConfig::new(2, 3, Scheme::TWO_STEP_DEFAULT),
     )?;
-    let outcome = plan.analyze(errors.iter_bits());
+    let outcome = plan.analyze_packed(errors.iter_words());
     let diag = diagnose_checked(&plan, &outcome)?;
     let suspects: Vec<usize> = diag.candidates().iter().collect();
     println!("diagnosed candidate failing cells: {suspects:?}");

@@ -20,6 +20,13 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# perfbench is a workspace of its own, so neither step above builds it:
+# build and test it here, or an API change that breaks the benchmark
+# goes unnoticed. It shares the benchmark's build directory.
+echo "==> perfbench build + tests (own workspace, CARGO_TARGET_DIR=.bench_build)"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 SMOKE_DIR=target/obs-smoke
 mkdir -p "$SMOKE_DIR"
 

@@ -60,17 +60,17 @@ fn chain_masking_beats_baseline_on_multi_chain_soc() {
             local_to_global[cell.local as usize] = global;
         }
     }
-    let bits: Vec<(usize, usize)> = fsim
+    let words: Vec<(usize, usize, u64)> = fsim
         .error_map(&fault)
-        .iter_bits()
-        .map(|(pos, pat)| (local_to_global[pos], pat))
+        .iter_words()
+        .map(|(pos, w, bits)| (local_to_global[pos], w, bits))
         .collect();
 
-    let baseline = scan_bist_suite::diagnosis::diagnose_checked(&plan, &plan.analyze(bits.iter().copied()))
+    let baseline = scan_bist_suite::diagnosis::diagnose_checked(&plan, &plan.analyze_packed(words.iter().copied()))
         .expect("injected chain fault yields a consistent failing history");
-    let masked = diagnose_chain_masked(&plan, &analyze_chain_masked(&plan, bits.iter().copied()));
+    let masked = diagnose_chain_masked(&plan, &analyze_chain_masked(&plan, words.iter().copied()));
     assert!(masked.is_subset(baseline.candidates()));
-    for &(cell, _) in &bits {
+    for &(cell, _, _) in &words {
         assert!(masked.contains(cell), "lost error cell {cell}");
     }
 }
