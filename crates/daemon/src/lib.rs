@@ -18,8 +18,10 @@
 //!   ([`scan_diagnosis::CancelToken`]), quality-shedding tiers (robust
 //!   replay degrades to single-pass before anything is refused),
 //!   single-flight plan [`cache`], and drain-on-shutdown.
-//! * [`http`] — a deliberately strict HTTP/1.1 parser (no chunked
-//!   bodies, no duplicate `Content-Length`, no header injection).
+//! * [`scan_obs::http`] — the deliberately strict HTTP/1.1 parser (no
+//!   chunked bodies, no duplicate `Content-Length`, no header
+//!   injection) the daemon shares with `--serve-metrics`, so both
+//!   servers give malformed requests the same status.
 //! * [`chaos`] — the `SCANBIST_CHAOS` fault-injection layer, keyed per
 //!   request through [`scan_rng::derive`] so failures reproduce
 //!   bit-for-bit.
@@ -33,7 +35,6 @@
 
 pub mod cache;
 pub mod chaos;
-pub mod http;
 pub mod protocol;
 pub mod queue;
 pub mod server;

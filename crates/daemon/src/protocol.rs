@@ -43,9 +43,8 @@ use scan_diagnosis::{
     CampaignError, DiagnoseError, DiagnosisStatus, NoiseConfig, RobustPolicy, SessionOutcome,
 };
 
+use scan_obs::http::HttpError;
 use scan_obs::json::{JsonError, Number, Reader};
-
-use crate::http::HttpError;
 
 /// Escapes a string for embedding in a JSON string literal.
 #[must_use]

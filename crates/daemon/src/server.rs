@@ -53,11 +53,11 @@ use scan_diagnosis::ranking::SuspectRanking;
 use scan_diagnosis::{
     diagnose_reported, diagnose_robust_cancellable, CancelToken, DiagnoseError, NoiseModel,
 };
+use scan_obs::http::{parse_request, write_reply, write_response, HttpError, Limits, Request};
 use scan_obs::metrics;
 
 use crate::cache::{CachedPlan, PlanCache};
 use crate::chaos::{ChaosConfig, ChaosPlan};
-use crate::http::{parse_request, write_response, HttpError, Limits, Request};
 use crate::protocol::{scheme_from_label, DiagnoseRequest, ErrorBody, OkLine};
 use crate::queue::BoundedQueue;
 
@@ -444,13 +444,13 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
     };
     metrics::incr("daemon.requests");
     match (request.method.as_str(), request.path()) {
-        ("GET" | "HEAD", "/statz") => {
+        (method @ ("GET" | "HEAD"), "/statz") => {
             let body = statz(inner);
-            let _ = write_response(&mut stream, 200, "application/json", body.as_bytes(), &[]);
+            let _ = write_reply(&mut stream, method, 200, "application/json", body.as_bytes());
         }
-        ("GET" | "HEAD", path) => {
+        (method @ ("GET" | "HEAD"), path) => {
             let (status, content_type, body) = scan_obs::serve::route(path);
-            let _ = write_response(&mut stream, status, content_type, body.as_bytes(), &[]);
+            let _ = write_reply(&mut stream, method, status, content_type, body.as_bytes());
         }
         ("POST", "/admin/drain") => {
             inner.begin_drain();

@@ -2,8 +2,9 @@
 //! happy-path NDJSON batches, bounded-queue backpressure (429),
 //! deadline expiry (504), a cold plan for the largest circuit inside the
 //! default deadline, drain semantics (/readyz flip + 503),
-//! deterministic chaos injection, the connection cap (503), and a
-//! long run of sequential batches through the pooled handlers.
+//! deterministic chaos injection, the connection cap (503), `HEAD`
+//! without a body, and a long run of sequential batches through the
+//! pooled handlers.
 //!
 //! The daemon publishes readiness through process-global scan-obs
 //! state, so every test serializes on [`lock`].
@@ -168,6 +169,35 @@ fn obs_routes_and_statz_are_mounted() {
     // Wrong methods on the two POST routes.
     let bad = roundtrip(addr, "PUT /diagnose HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(bad.status, 405);
+
+    daemon.shutdown();
+}
+
+#[test]
+fn head_answers_with_the_get_head_and_no_body() {
+    let _gate = lock();
+    let daemon = Daemon::start(DaemonConfig::default()).expect("start");
+    let addr = daemon.addr();
+
+    let full = get(addr, "/readyz");
+    let head = roundtrip(addr, "HEAD /readyz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(head.status, full.status);
+    assert_eq!(
+        head.headers, full.headers,
+        "HEAD must carry the GET headers"
+    );
+    assert_eq!(
+        head.header("Content-Length"),
+        Some(full.body.len().to_string().as_str())
+    );
+    assert_eq!(head.body, "", "nothing may follow the blank line");
+
+    for path in ["/metrics", "/statz"] {
+        let head = roundtrip(addr, &format!("HEAD {path} HTTP/1.1\r\nHost: t\r\n\r\n"));
+        assert_eq!(head.status, 200, "{path}");
+        assert_ne!(head.header("Content-Length"), Some("0"), "{path}");
+        assert_eq!(head.body, "", "{path}: nothing may follow the blank line");
+    }
 
     daemon.shutdown();
 }

@@ -203,7 +203,7 @@ fn codes_are_stable_kebab_case() {
         ErrorBody::bad_request("x".to_owned()),
         ErrorBody::from_diagnose_error(&DiagnoseError::AllSessionsPassed),
         ErrorBody::from_campaign_error(&CampaignError::NoDetectedFaults),
-        ErrorBody::from_http_error(&scan_daemon::http::HttpError::BodyTooLarge),
+        ErrorBody::from_http_error(&scan_obs::http::HttpError::BodyTooLarge),
     ];
     for body in &bodies {
         assert!(known.contains(&body.code), "unknown code {}", body.code);
@@ -212,7 +212,7 @@ fn codes_are_stable_kebab_case() {
 
 #[test]
 fn http_errors_map_to_http_code() {
-    use scan_daemon::http::HttpError;
+    use scan_obs::http::HttpError;
     let cases: Vec<(HttpError, u16)> = vec![
         (HttpError::Timeout, 408),
         (HttpError::Malformed("bad request line"), 400),

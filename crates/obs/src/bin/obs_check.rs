@@ -33,7 +33,8 @@
 //!   live `--serve-metrics` endpoint: GETs `/healthz`, `/metrics`
 //!   (validated as Prometheus text exposition), `/metrics.json`
 //!   (validated as a metrics snapshot), and `/alerts.json` (validated
-//!   as a versioned alert-status document).
+//!   as a versioned alert-status document), then sends `HEAD /metrics`
+//!   and requires a `200` with an empty body.
 //!
 //! Exits nonzero with a message on the first failure —
 //! `scripts/verify.sh` runs this against an instrumented smoke
@@ -792,14 +793,15 @@ fn check_join(paths: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// A std-only HTTP/1.1 GET against the live metrics endpoint.
-fn http_get(addr: &str, target: &str) -> Result<(u16, String), String> {
+/// A std-only HTTP/1.1 request against the live metrics endpoint;
+/// returns the status and the body.
+fn http_request(addr: &str, method: &str, target: &str) -> Result<(u16, String), String> {
     use std::io::{Read as _, Write as _};
     let mut conn = std::net::TcpStream::connect(addr)
         .map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
     conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
         .map_err(|e| e.to_string())?;
-    write!(conn, "GET {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
+    write!(conn, "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
         .map_err(|e| format!("write to `{addr}` failed: {e}"))?;
     let mut response = String::new();
     conn.read_to_string(&mut response)
@@ -816,26 +818,26 @@ fn http_get(addr: &str, target: &str) -> Result<(u16, String), String> {
     Ok((status, body))
 }
 
-/// Scrapes a live `--serve-metrics` endpoint and validates all three
-/// routes.
+/// Scrapes a live `--serve-metrics` endpoint, validates its four GET
+/// routes, and checks that `HEAD /metrics` answers with no body.
 fn check_scrape(addr: &str) -> Result<(), String> {
-    let (status, health) = http_get(addr, "/healthz")?;
+    let (status, health) = http_request(addr, "GET", "/healthz")?;
     if status != 200 || !health.contains("\"status\":\"ok\"") {
         return Err(format!("/healthz: status {status}, body `{health}`"));
     }
-    let (status, text) = http_get(addr, "/metrics")?;
+    let (status, text) = http_request(addr, "GET", "/metrics")?;
     if status != 200 {
         return Err(format!("/metrics: status {status}"));
     }
     let samples = scan_obs::serve::validate_exposition(&text)
         .map_err(|e| format!("/metrics exposition invalid: {e}"))?;
-    let (status, json) = http_get(addr, "/metrics.json")?;
+    let (status, json) = http_request(addr, "GET", "/metrics.json")?;
     if status != 200 {
         return Err(format!("/metrics.json: status {status}"));
     }
     let value = parse(&json).map_err(|e| format!("/metrics.json: {e}"))?;
     check_metrics(&format!("{addr}/metrics.json"), &value)?;
-    let (status, json) = http_get(addr, "/alerts.json")?;
+    let (status, json) = http_request(addr, "GET", "/alerts.json")?;
     if status != 200 {
         return Err(format!("/alerts.json: status {status}"));
     }
@@ -845,6 +847,13 @@ fn check_scrape(addr: &str) -> Result<(), String> {
     }
     if value.get("alerts").and_then(Value::as_array).is_none() {
         return Err("/alerts.json: missing \"alerts\" array".to_owned());
+    }
+    let (status, body) = http_request(addr, "HEAD", "/metrics")?;
+    if status != 200 || !body.is_empty() {
+        return Err(format!(
+            "HEAD /metrics: status {status}, {} body byte(s) (want 200, none)",
+            body.len()
+        ));
     }
     eprintln!("obs-check: scrape {addr} OK ({samples} exposition sample(s))");
     Ok(())

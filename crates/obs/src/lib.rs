@@ -54,6 +54,7 @@
 mod config;
 pub mod context;
 pub mod export;
+pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod profile;

@@ -2,12 +2,11 @@
 //!
 //! A tiny HTTP/1.1 server on `std::net::TcpListener`, enabled by
 //! `--serve-metrics <addr>` on `scanbist` and the experiment bins, so
-//! a long campaign can be scraped *while it runs* — the layer the
-//! `scanbistd` daemon (ROADMAP) will stand on. Zero dependencies, and
-//! deliberately minimal: GET only, `Connection: close`, no TLS, no
-//! keep-alive.
+//! a long campaign can be scraped *while it runs*. Zero dependencies,
+//! and deliberately minimal: `GET` and `HEAD` only (any other method is
+//! a `405`), `Connection: close`, no TLS, no keep-alive.
 //!
-//! Routes:
+//! Routes (the `scanbistd` daemon mounts the same ones via [`route`]):
 //!
 //! * `GET /metrics` — Prometheus-style text exposition
 //!   ([`exposition`]) of the registry snapshot plus windowed
@@ -20,14 +19,16 @@
 //!   `scanbistd` drain sequence key off this.
 //!
 //! **Bounded connections:** requests are handled serially on the one
-//! accept thread with read/write timeouts and an 8 KiB request cap, so
-//! a slow or malicious scraper can stall at most one connection slot
-//! and the OS listen backlog — never the campaign, which runs on other
-//! threads and shares nothing with the server but the registry locks.
-//! A client that connects and then sends nothing (slow loris) is cut
-//! off by the read timeout with a `408`; a declared request body over
-//! the configurable [`set_body_limit`] is rejected with `413` without
-//! ever being read.
+//! accept thread with read/write timeouts, so a slow or malicious
+//! scraper can stall at most one connection slot and the OS listen
+//! backlog — never the campaign, which runs on other threads and
+//! shares nothing with the server but the registry locks. Requests are
+//! read by [`crate::http::parse_request`], the parser `scanbistd` uses,
+//! so both servers answer malformed input with the same statuses (see
+//! the table in [`crate::http`]). A client that connects and then
+//! sends nothing (slow loris) is cut off by the read timeout with a
+//! `408`; a declared request body over [`DEFAULT_BODY_LIMIT`] is
+//! rejected with `413` without ever being read.
 //!
 //! **Clean shutdown:** [`MetricsServer::stop`] flips a flag and nudges
 //! the listener with a loopback connect so the accept loop observes it
@@ -37,40 +38,25 @@
 //! results), and the handler's socket writes are the span's own
 //! subject — see the justified L009 allowance in `lint.toml`.
 
-use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::http::{self, HttpError, Limits};
 use crate::registry::{self, Snapshot};
 use crate::timeseries::{self, SeriesRollup};
 
-const REQUEST_CAP: usize = 8 * 1024;
+const TEXT: &str = "text/plain; charset=utf-8";
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Default ceiling for declared request bodies (`Content-Length`).
-/// Metrics routes are GET-only, so anything nontrivial is suspicious;
-/// the limit exists so a misdirected upload is refused with `413`
-/// instead of being read to EOF.
+/// [`MetricsServer`]'s ceiling for declared request bodies
+/// (`Content-Length`). Metrics routes take no body, so anything
+/// nontrivial is suspicious; the limit exists so a misdirected upload
+/// is refused with `413` instead of being read to EOF.
 pub const DEFAULT_BODY_LIMIT: usize = 64 * 1024;
 
-static BODY_LIMIT: AtomicUsize = AtomicUsize::new(DEFAULT_BODY_LIMIT);
 static READY: AtomicBool = AtomicBool::new(true);
-
-/// Sets the `Content-Length` ceiling above which requests are refused
-/// with `413 Payload Too Large`. Applies to every in-process
-/// [`MetricsServer`] and to daemons reusing [`route`] + this module's
-/// request reader.
-pub fn set_body_limit(limit: usize) {
-    BODY_LIMIT.store(limit.max(1), Ordering::Release);
-}
-
-/// The current request-body ceiling (see [`set_body_limit`]).
-#[must_use]
-pub fn body_limit() -> usize {
-    BODY_LIMIT.load(Ordering::Acquire)
-}
 
 /// Flips the process-wide readiness bit behind `GET /readyz`.
 /// `true` (the default) answers `200 {"status":"ready"}`; `false`
@@ -170,108 +156,42 @@ fn accept_loop(listener: &TcpListener, stop: &AtomicBool) {
     registry::flush_thread();
 }
 
-/// Why a request head could not be turned into a routable target.
-enum HeadError {
-    /// Not a well-formed `GET <target> HTTP/1.x` head.
-    Malformed,
-    /// The client stalled past the read timeout (slow loris).
-    Timeout,
-    /// The declared `Content-Length` exceeds [`body_limit`].
-    BodyTooLarge,
-}
-
 fn handle_connection(mut conn: TcpStream) {
     let _span = crate::span!("serve/scrape");
     let _ = conn.set_read_timeout(Some(IO_TIMEOUT));
     let _ = conn.set_write_timeout(Some(IO_TIMEOUT));
-    let target = match read_request_target(&mut conn) {
-        Ok(target) => target,
-        Err(HeadError::Timeout) => {
-            crate::metrics::incr("serve.timeouts");
-            let _ = write_response(
-                &mut conn,
-                408,
-                "text/plain; charset=utf-8",
-                "request timed out\n",
-            );
-            return;
-        }
-        Err(HeadError::BodyTooLarge) => {
-            crate::metrics::incr("serve.oversized_bodies");
-            let _ = write_response(
-                &mut conn,
-                413,
-                "text/plain; charset=utf-8",
-                "request body exceeds limit\n",
-            );
-            return;
-        }
-        Err(HeadError::Malformed) => {
-            crate::metrics::incr("serve.bad_requests");
-            let _ = write_response(&mut conn, 400, "text/plain; charset=utf-8", "bad request\n");
+    let limits = Limits {
+        body: DEFAULT_BODY_LIMIT,
+        ..Limits::default()
+    };
+    let request = match http::parse_request(&mut conn, &limits) {
+        Ok(request) => request,
+        Err(e) => {
+            let Some(status) = e.status() else { return };
+            crate::metrics::incr(match e {
+                HttpError::Timeout => "serve.timeouts",
+                HttpError::BodyTooLarge => "serve.oversized_bodies",
+                _ => "serve.bad_requests",
+            });
+            let body = format!("{}\n", e.message());
+            let _ = http::write_response(&mut conn, status, TEXT, body.as_bytes(), &[]);
             return;
         }
     };
     crate::metrics::incr("serve.requests");
-    let (status, content_type, body) = route(&target);
-    let _ = write_response(&mut conn, status, content_type, &body);
-}
-
-/// Reads the request head (up to [`REQUEST_CAP`]) and returns the
-/// request target of a well-formed `GET <target> HTTP/1.x` line.
-/// Declared bodies over [`body_limit`] are refused without being read.
-fn read_request_target(conn: &mut TcpStream) -> Result<String, HeadError> {
-    let mut head = Vec::new();
-    let mut buf = [0u8; 512];
-    loop {
-        let n = match conn.read(&mut buf) {
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(HeadError::Timeout);
-            }
-            Err(_) => return Err(HeadError::Malformed),
-        };
-        if n == 0 {
-            break;
-        }
-        // lint:allow(L012): `read()` guarantees `n <= buf.len()`
-        head.extend_from_slice(&buf[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= REQUEST_CAP {
-            break;
-        }
+    if !matches!(request.method.as_str(), "GET" | "HEAD") {
+        let allow = [("Allow", "GET, HEAD".to_owned())];
+        let _ = http::write_response(&mut conn, 405, TEXT, b"method not allowed\n", &allow);
+        return;
     }
-    let text = String::from_utf8_lossy(&head);
-    let mut lines = text.lines();
-    let line = lines.next().ok_or(HeadError::Malformed)?;
-    // Reject declared bodies over the limit before touching the route:
-    // a metrics endpoint never needs an upload, so an oversized
-    // Content-Length is refused outright instead of read to EOF.
-    for header in lines.by_ref() {
-        if header.is_empty() {
-            break;
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            continue;
-        };
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            match value.trim().parse::<usize>() {
-                Ok(len) if len > body_limit() => return Err(HeadError::BodyTooLarge),
-                Ok(_) => {}
-                Err(_) => return Err(HeadError::Malformed),
-            }
-        }
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or(HeadError::Malformed)?;
-    let target = parts.next().ok_or(HeadError::Malformed)?;
-    let version = parts.next().ok_or(HeadError::Malformed)?;
-    if method != "GET" || !version.starts_with("HTTP/1.") {
-        return Err(HeadError::Malformed);
-    }
-    Ok(target.to_owned())
+    let (status, content_type, body) = route(&request.target);
+    let _ = http::write_reply(
+        &mut conn,
+        &request.method,
+        status,
+        content_type,
+        body.as_bytes(),
+    );
 }
 
 /// Routes a request target to `(status, content type, body)` — the
@@ -326,31 +246,8 @@ pub fn route(target: &str) -> (u16, &'static str, String) {
                 )
             }
         }
-        _ => (404, "text/plain; charset=utf-8", "not found\n".to_owned()),
+        _ => (404, TEXT, "not found\n".to_owned()),
     }
-}
-
-fn write_response(
-    conn: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        408 => "Request Timeout",
-        413 => "Payload Too Large",
-        503 => "Service Unavailable",
-        _ => "Not Found",
-    };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    conn.write_all(head.as_bytes())?;
-    conn.write_all(body.as_bytes())?;
-    conn.flush()
 }
 
 /// Renders the `/alerts.json` document: the live state of every

@@ -1,7 +1,8 @@
 //! Raw-socket hardening tests for the metrics endpoint: slow-loris
-//! timeout behaviour, oversized-body rejection, and the `/readyz`
-//! drain flip. Everything here speaks HTTP/1.1 by hand over a
-//! `TcpStream` — no client library, same as a hostile peer would.
+//! timeout behaviour, oversized-body rejection, `HEAD` and other
+//! methods, and the `/readyz` drain flip. Everything here speaks
+//! HTTP/1.1 by hand over a `TcpStream` — no client library, same as a
+//! hostile peer would.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -75,7 +76,7 @@ fn declared_body_over_the_limit_is_rejected_with_413() {
         response.starts_with("HTTP/1.1 413"),
         "oversized body must be refused, got: {response:?}"
     );
-    // A small declared body on a GET is tolerated (and ignored).
+    // A small declared body on a GET is read and the route answered.
     let response = raw_request(
         addr,
         "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\nhi",
@@ -97,19 +98,34 @@ fn malformed_content_length_is_a_bad_request() {
 }
 
 #[test]
-fn body_limit_is_configurable() {
-    // Lowering the limit keeps smaller-but-still-over requests out;
-    // restore the default afterwards (the limit is process-global).
-    serve::set_body_limit(128);
-    assert_eq!(serve::body_limit(), 128);
+fn head_answers_with_the_get_head_and_no_body() {
     let server = MetricsServer::start("127.0.0.1:0").expect("bind ephemeral");
-    let response = raw_request(
-        server.addr(),
-        "GET /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 256\r\n\r\n",
+    let addr = server.addr();
+    // `/alerts.json` is stable here (no SLO rules are installed);
+    // `/readyz` is not, as another test flips readiness.
+    let get = raw_request(addr, "GET /alerts.json HTTP/1.1\r\nHost: x\r\n\r\n");
+    let head = raw_request(addr, "HEAD /alerts.json HTTP/1.1\r\nHost: x\r\n\r\n");
+    let (get_head, get_body) = get.split_once("\r\n\r\n").expect("GET head");
+    let (head_head, head_body) = head.split_once("\r\n\r\n").expect("HEAD head");
+    assert_eq!(
+        head_head, get_head,
+        "HEAD must carry the GET status and headers"
     );
-    assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+    assert!(head_head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(
+        head_head.contains(&format!("Content-Length: {}", get_body.len())),
+        "{head}"
+    );
+    assert_eq!(head_body, "", "nothing may follow the blank line");
+
+    let metrics = raw_request(addr, "HEAD /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(metrics.starts_with("HTTP/1.1 200"), "{metrics}");
+    assert!(metrics.ends_with("\r\n\r\n"), "{metrics}");
+
+    let post = raw_request(addr, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(post.starts_with("HTTP/1.1 405"), "{post}");
+    assert!(post.contains("Allow: GET, HEAD\r\n"), "{post}");
     server.stop();
-    serve::set_body_limit(serve::DEFAULT_BODY_LIMIT);
 }
 
 #[test]
