@@ -31,7 +31,7 @@ fn main() {
     );
     println!();
 
-    let rows_data = diagnose_each_core(&soc, &spec, &PAPER_SCHEMES).expect("SOC campaign runs");
+    let rows_data = diagnose_each_core(&soc, &spec, &PAPER_SCHEMES, 0).expect("SOC campaign runs");
     let fmt_cycles = |parts: Option<usize>| {
         parts.map_or_else(
             || "-".to_owned(),

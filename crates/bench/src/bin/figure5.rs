@@ -4,7 +4,7 @@
 //! core. Fewer partitions means shorter diagnosis time.
 
 use scan_bench::{render_table, table3_spec, ObsSession, PAPER_SCHEMES};
-use scan_diagnosis::soc_diag::diagnose_each_core_parallel;
+use scan_diagnosis::soc_diag::diagnose_each_core;
 use scan_soc::d695;
 
 const TARGET_DR: f64 = 0.5;
@@ -21,7 +21,7 @@ fn main() {
     );
     println!();
     let rows_data =
-        diagnose_each_core_parallel(&soc, &spec, &PAPER_SCHEMES, 0).expect("SOC campaign runs");
+        diagnose_each_core(&soc, &spec, &PAPER_SCHEMES, 0).expect("SOC campaign runs");
     let fmt = |n: Option<usize>| n.map_or_else(|| format!(">{MAX_PARTITIONS}"), |v| v.to_string());
     let rows: Vec<Vec<String>> = rows_data
         .iter()

@@ -5,7 +5,7 @@
 //! partitions.
 
 use scan_bench::{fmt_dr, render_table, table3_spec, ObsSession, PAPER_SCHEMES};
-use scan_diagnosis::soc_diag::diagnose_each_core_parallel;
+use scan_diagnosis::soc_diag::diagnose_each_core;
 use scan_soc::d695;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     );
     println!();
     let rows_data =
-        diagnose_each_core_parallel(&soc, &spec, &PAPER_SCHEMES, 0).expect("SOC campaign runs");
+        diagnose_each_core(&soc, &spec, &PAPER_SCHEMES, 0).expect("SOC campaign runs");
     let rows: Vec<Vec<String>> = rows_data
         .iter()
         .map(|row| {

@@ -6,7 +6,7 @@
 //! every core and marks the reported six.
 
 use scan_bench::{fmt_dr, render_table, table4_spec, ObsSession, PAPER_SCHEMES};
-use scan_diagnosis::soc_diag::diagnose_each_core_parallel;
+use scan_diagnosis::soc_diag::diagnose_each_core;
 use scan_netlist::generate::SIX_LARGEST;
 use scan_soc::d695;
 
@@ -24,7 +24,7 @@ fn main() {
     );
     println!();
     let rows_data =
-        diagnose_each_core_parallel(&soc, &spec, &PAPER_SCHEMES, 0).expect("SOC campaign runs");
+        diagnose_each_core(&soc, &spec, &PAPER_SCHEMES, 0).expect("SOC campaign runs");
     let rows: Vec<Vec<String>> = rows_data
         .iter()
         .map(|row| {

@@ -1,5 +1,7 @@
 //! Candidate computation from session outcomes.
 
+use std::convert::Infallible;
+
 use scan_netlist::BitSet;
 
 use crate::cancel::CancelToken;
@@ -84,11 +86,8 @@ impl Diagnosis {
 /// each later partition filters the survivors.
 #[must_use]
 pub fn diagnose(plan: &DiagnosisPlan, outcome: &SessionOutcome) -> Diagnosis {
-    match diagnose_cancellable(plan, outcome, &CancelToken::new()) {
-        Ok(diagnosis) => diagnosis,
-        // A fresh private token is never cancelled.
-        Err(_) => unreachable!("uncancellable diagnose cannot be cancelled"),
-    }
+    let Ok(diagnosis) = intersect(plan, outcome, &mut |_| Ok::<(), Infallible>(()));
+    diagnosis
 }
 
 /// Like [`diagnose`], but polls `cancel` **between partition sessions**
@@ -101,21 +100,40 @@ pub fn diagnose(plan: &DiagnosisPlan, outcome: &SessionOutcome) -> Diagnosis {
 ///
 /// Returns [`DiagnoseError::Cancelled`] (with the number of partitions
 /// fully intersected) when `cancel` fires before the run completes.
-pub fn diagnose_cancellable(
+pub(crate) fn diagnose_cancellable(
     plan: &DiagnosisPlan,
     outcome: &SessionOutcome,
     cancel: &CancelToken,
 ) -> Result<Diagnosis, DiagnoseError> {
+    intersect(plan, outcome, &mut |p| poll_cancel(cancel, p))
+}
+
+/// The poll of a cancellable run: [`DiagnoseError::Cancelled`] once
+/// `cancel` has fired, reporting `completed` partitions fully
+/// intersected.
+pub(crate) fn poll_cancel(cancel: &CancelToken, completed: usize) -> Result<(), DiagnoseError> {
+    if cancel.is_cancelled() {
+        Err(DiagnoseError::Cancelled {
+            completed_partitions: completed,
+        })
+    } else {
+        Ok(())
+    }
+}
+
+/// The intersection loop behind [`diagnose`]: `poll(p)` runs before
+/// partition `p` is intersected, and its first `Err` ends the run.
+pub(crate) fn intersect<E>(
+    plan: &DiagnosisPlan,
+    outcome: &SessionOutcome,
+    poll: &mut impl FnMut(usize) -> Result<(), E>,
+) -> Result<Diagnosis, E> {
     let num_partitions = plan.partitions().len();
     let mut candidates: Vec<u32> = Vec::new();
     let mut prefix_counts = Vec::with_capacity(num_partitions);
     let mut first_empty: Option<usize> = None;
     for p in 0..num_partitions {
-        if cancel.is_cancelled() {
-            return Err(DiagnoseError::Cancelled {
-                completed_partitions: p,
-            });
-        }
+        poll(p)?;
         if p == 0 {
             // The first partition's failing groups seed the candidates;
             // groups past its group count hold no cells.

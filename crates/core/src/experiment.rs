@@ -22,14 +22,15 @@ use scan_netlist::{BitSet, Netlist, ScanOrdering, ScanView};
 use scan_sim::{ErrorMap, PatternSet, PatternShapeError, PpsfpSimulator};
 use scan_soc::Soc;
 
-use crate::diagnose::{diagnose, DiagnosisStatus};
+use crate::diagnose::{diagnose, Diagnosis, DiagnosisStatus};
 use crate::error::{BuildPlanError, NoiseConfigError};
 use crate::layout::ChainLayout;
 use crate::metrics::DrAccumulator;
 use crate::noise::NoiseModel;
+use crate::parallel::sharded_map;
 use crate::pruning::prune_by_cover;
 use crate::robust::{diagnose_robust, Confidence, RobustPolicy};
-use crate::session::{BistConfig, DiagnosisPlan};
+use crate::session::{BistConfig, DiagnosisPlan, SessionOutcome};
 
 /// Parameters of a fault-injection campaign.
 #[derive(Clone, Copy, Debug)]
@@ -216,40 +217,40 @@ struct FaultCase {
 /// cases can be evaluated in any order (or on any thread) and folded
 /// back in fault-index order for bit-identical aggregate results.
 #[derive(Clone, Debug)]
-pub(crate) struct CaseStats {
-    pub(crate) candidates: usize,
-    pub(crate) actual: usize,
-    pub(crate) pruned: usize,
-    pub(crate) prefix_counts: Vec<usize>,
-    pub(crate) lost: u64,
+struct CaseStats {
+    candidates: usize,
+    actual: usize,
+    pruned: usize,
+    prefix_counts: Vec<usize>,
+    lost: u64,
 }
 
 /// Per-fault first-level (core localization) statistics.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct LocCaseStats {
-    pub(crate) ranked: bool,
-    pub(crate) correct: bool,
-    pub(crate) margin: f64,
+struct LocCaseStats {
+    ranked: bool,
+    correct: bool,
+    margin: f64,
 }
 
 /// Per-fault robust-diagnosis statistics: what one case contributes to
 /// a [`RobustReport`]. Pure like [`CaseStats`], so robust campaigns
 /// shard across threads with bit-identical folds.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct RobustCaseStats {
-    pub(crate) confidence: Confidence,
-    pub(crate) candidates: usize,
-    pub(crate) actual: usize,
-    pub(crate) retry_rounds: usize,
-    pub(crate) retried_sessions: usize,
-    pub(crate) used_fallback: bool,
+struct RobustCaseStats {
+    confidence: Confidence,
+    candidates: usize,
+    actual: usize,
+    retry_rounds: usize,
+    retried_sessions: usize,
+    used_fallback: bool,
     /// Whether the *strict* intersection over the attempt-0 observed
     /// verdicts was consistent (the baseline the robust engine is
     /// measured against).
-    pub(crate) strict_ok: bool,
+    strict_ok: bool,
     /// Whether the (masked) candidate set contains at least one truly
     /// failing observable cell.
-    pub(crate) hit: bool,
+    hit: bool,
 }
 
 /// Aggregate results of a fault-tolerant (noisy) campaign run.
@@ -331,7 +332,7 @@ pub struct PreparedCampaign {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) struct SocContext {
+struct SocContext {
     core_of_cell: Vec<u32>,
     core_sizes: Vec<usize>,
     faulty_core: usize,
@@ -495,7 +496,7 @@ impl PreparedCampaign {
     }
 
     /// Builds the diagnosis plan this campaign runs under `scheme`.
-    pub(crate) fn build_plan(&self, scheme: Scheme) -> Result<DiagnosisPlan, CampaignError> {
+    fn build_plan(&self, scheme: Scheme) -> Result<DiagnosisPlan, CampaignError> {
         let _span = scan_obs::span!("build_plan");
         let config = self.spec.bist_config(scheme);
         Ok(DiagnosisPlan::new(
@@ -505,81 +506,58 @@ impl PreparedCampaign {
         )?)
     }
 
-    /// Diagnoses fault case `index` under a prebuilt plan. Pure: reads
-    /// only shared state, so it may run on any thread.
-    pub(crate) fn case_stats(
+    /// The evidence of fault case `index` under `plan`: the session
+    /// outcome of its errors at the cells outside `masked`, and those
+    /// observable failing cells (global ids). Pure: reads only shared
+    /// state, so it may run on any thread.
+    fn evidence(
         &self,
         plan: &DiagnosisPlan,
         masked: &BitSet,
         index: usize,
-    ) -> CaseStats {
-        let case = &self.cases[index];
-        let observable = |pos: &usize| !masked.contains(self.local_to_global[*pos]);
-        let failing: Vec<usize> = case
-            .errors
-            .failing_positions()
-            .iter()
-            .filter(observable)
-            .collect();
-        let actual = failing.len();
+    ) -> (SessionOutcome, Vec<usize>) {
+        let mut failing: Vec<usize> = Vec::new();
         let outcome = plan.analyze_packed(
-            case.errors
+            self.cases[index]
+                .errors
                 .iter_words()
                 .map(|(pos, word, bits)| (self.local_to_global[pos], word, bits))
-                .filter(|(cell, _, _)| !masked.contains(*cell)),
+                .filter(|(cell, _, _)| !masked.contains(*cell))
+                // Words arrive grouped by position: a new cell opens a run.
+                .inspect(|&(cell, _, _)| {
+                    if failing.last() != Some(&cell) {
+                        failing.push(cell);
+                    }
+                }),
         );
-        let mut diag = diagnose(plan, &outcome);
-        if !masked.is_empty() {
-            diag = diag.without_cells(masked);
-        }
+        (outcome, failing)
+    }
+
+    /// Diagnoses fault case `index` under a prebuilt plan.
+    fn case_stats(&self, plan: &DiagnosisPlan, masked: &BitSet, index: usize) -> CaseStats {
+        let (outcome, failing) = self.evidence(plan, masked, index);
+        let diag = diagnose_observable(plan, &outcome, masked);
         let lost = failing
             .iter()
-            .filter(|&&pos| !diag.candidates().contains(self.local_to_global[pos]))
+            .filter(|&&cell| !diag.candidates().contains(cell))
             .count() as u64;
         let pruned = prune_by_cover(plan, &outcome, diag.candidates());
         scan_obs::metrics::incr("diagnosis.cases");
         scan_obs::metrics::record_pow2("diagnosis.candidates_per_fault", diag.num_candidates() as u64);
-        scan_obs::metrics::record_pow2("diagnosis.actual_failing_cells", actual as u64);
+        scan_obs::metrics::record_pow2("diagnosis.actual_failing_cells", failing.len() as u64);
         CaseStats {
             candidates: diag.num_candidates(),
-            actual,
+            actual: failing.len(),
             pruned: pruned.len(),
             prefix_counts: diag.prefix_counts().to_vec(),
             lost,
         }
     }
 
-    /// The final candidate cell set of fault case `index`, in ascending
-    /// global cell order.
-    pub(crate) fn case_candidates(
-        &self,
-        plan: &DiagnosisPlan,
-        masked: &BitSet,
-        index: usize,
-    ) -> Vec<usize> {
-        let case = &self.cases[index];
-        let outcome = plan.analyze_packed(
-            case.errors
-                .iter_words()
-                .map(|(pos, word, bits)| (self.local_to_global[pos], word, bits))
-                .filter(|(cell, _, _)| !masked.contains(*cell)),
-        );
-        let mut diag = diagnose(plan, &outcome);
-        if !masked.is_empty() {
-            diag = diag.without_cells(masked);
-        }
-        diag.candidates().iter().collect()
-    }
-
     /// Folds per-case statistics, **in fault-index order**, into a
-    /// report. Serial and parallel runs share this fold, so any
-    /// execution that presents the same stats in the same order yields
-    /// bit-identical aggregates.
-    pub(crate) fn fold_report(
-        &self,
-        scheme: Scheme,
-        stats: impl IntoIterator<Item = CaseStats>,
-    ) -> SchemeReport {
+    /// report: any execution that presents the same stats in the same
+    /// order yields bit-identical aggregates.
+    fn fold_report(&self, scheme: Scheme, stats: Vec<CaseStats>) -> SchemeReport {
         let mut final_acc = DrAccumulator::new();
         let mut pruned_acc = DrAccumulator::new();
         let mut prefix_accs = vec![DrAccumulator::new(); self.spec.partitions];
@@ -606,39 +584,63 @@ impl PreparedCampaign {
         }
     }
 
-    /// Runs the diagnosis for one scheme over every prepared fault.
+    /// Runs the diagnosis for one scheme over every prepared fault on
+    /// the calling thread: [`run_parallel`](Self::run_parallel) at one
+    /// thread.
     ///
     /// # Errors
     ///
     /// Returns [`CampaignError::Plan`] if the diagnosis plan cannot be
     /// built for this layout/spec.
     pub fn run(&self, scheme: Scheme) -> Result<SchemeReport, CampaignError> {
-        let _span = scan_obs::span!("diagnose");
-        let plan = self.build_plan(scheme)?;
-        let masked = self.masked_cells();
-        let stats = (0..self.cases.len()).map(|i| self.case_stats(&plan, &masked, i));
-        Ok(self.fold_report(scheme, stats))
+        self.run_parallel(scheme, 1)
     }
 
-    /// Runs the diagnosis sharded across `threads` std threads (`0` =
-    /// one per available core). Bit-identical to [`run`](Self::run) at
-    /// any thread count — see [`crate::parallel`].
+    /// Runs the diagnosis for one scheme over every prepared fault,
+    /// sharded across `threads` std threads (`0` = one per available
+    /// core). Bit-identical at any thread count — see
+    /// [`crate::parallel`].
     ///
     /// # Errors
     ///
     /// Returns [`CampaignError::Plan`] if the diagnosis plan cannot be
     /// built for this layout/spec.
     pub fn run_parallel(&self, scheme: Scheme, threads: usize) -> Result<SchemeReport, CampaignError> {
-        crate::parallel::run_campaign(self, scheme, threads)
+        let _span = scan_obs::span!("diagnose");
+        let plan = self.build_plan(scheme)?;
+        let masked = self.masked_cells();
+        let stats = sharded_map(self.cases.len(), threads, |i| {
+            self.case_stats(&plan, &masked, i)
+        });
+        Ok(self.fold_report(scheme, stats))
+    }
+
+    /// Per-fault final candidate sets (ascending cell ids), on the
+    /// calling thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CampaignError::Plan`] if the diagnosis plan cannot be
+    /// built for this layout/spec.
+    pub fn candidate_sets(&self, scheme: Scheme) -> Result<Vec<Vec<usize>>, CampaignError> {
+        let plan = self.build_plan(scheme)?;
+        let masked = self.masked_cells();
+        Ok(sharded_map(self.cases.len(), 1, |i| {
+            let (outcome, _) = self.evidence(&plan, &masked, i);
+            diagnose_observable(&plan, &outcome, &masked)
+                .candidates()
+                .iter()
+                .collect()
+        }))
     }
 
     /// Replays the diagnosis for `scheme` recording a per-fault audit
     /// trail: partition kinds, failing groups, and the candidate-set
     /// size after each intersection (see [`crate::audit`]).
     ///
-    /// This is a separate pass over the prepared campaign — it never
-    /// runs concurrently with [`run`](Self::run) and shares none of its
-    /// state, so enabling auditing cannot perturb campaign results.
+    /// This is a separate serial pass over the prepared campaign — it
+    /// shares no state with [`run`](Self::run), so enabling auditing
+    /// cannot perturb campaign results.
     ///
     /// # Errors
     ///
@@ -648,37 +650,11 @@ impl PreparedCampaign {
         let _span = scan_obs::span!("audit");
         let plan = self.build_plan(scheme)?;
         let masked = self.masked_cells();
-        let kinds: Vec<&'static str> = plan
-            .partitions()
-            .iter()
-            .map(|p| {
-                if p.is_interval() {
-                    "interval"
-                } else {
-                    "random-selection"
-                }
-            })
-            .collect();
+        let kinds = partition_kinds(&plan);
         let faults = (0..self.cases.len())
             .map(|index| {
-                let case = &self.cases[index];
-                let observable = |pos: &usize| !masked.contains(self.local_to_global[*pos]);
-                let actual = case
-                    .errors
-                    .failing_positions()
-                    .iter()
-                    .filter(observable)
-                    .count();
-                let outcome = plan.analyze_packed(
-                    case.errors
-                        .iter_words()
-                        .map(|(pos, word, bits)| (self.local_to_global[pos], word, bits))
-                        .filter(|(cell, _, _)| !masked.contains(*cell)),
-                );
-                let mut diag = diagnose(&plan, &outcome);
-                if !masked.is_empty() {
-                    diag = diag.without_cells(&masked);
-                }
+                let (outcome, failing) = self.evidence(&plan, &masked, index);
+                let diag = diagnose_observable(&plan, &outcome, &masked);
                 let steps = diag
                     .prefix_counts()
                     .iter()
@@ -692,7 +668,7 @@ impl PreparedCampaign {
                     .collect();
                 crate::audit::FaultAudit {
                     index,
-                    actual,
+                    actual: failing.len(),
                     final_candidates: diag.num_candidates(),
                     steps,
                 }
@@ -706,67 +682,124 @@ impl PreparedCampaign {
         })
     }
 
-    /// Per-fault final candidate sets (ascending cell ids), serially.
+    /// Localizes fault case `index` to a core.
+    fn loc_case_stats(
+        &self,
+        plan: &DiagnosisPlan,
+        masked: &BitSet,
+        ctx: &SocContext,
+        index: usize,
+    ) -> LocCaseStats {
+        let (outcome, _) = self.evidence(plan, masked, index);
+        let diag = diagnose_observable(plan, &outcome, masked);
+        let mut density = vec![0usize; ctx.core_sizes.len()];
+        for cell in diag.candidates() {
+            density[ctx.core_of_cell[cell] as usize] += 1;
+        }
+        let scores: Vec<f64> = density
+            .iter()
+            .zip(&ctx.core_sizes)
+            .map(|(&d, &s)| d as f64 / s.max(1) as f64)
+            .collect();
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
+        if scores[order[0]] > 0.0 {
+            let runner_up = order.get(1).map_or(0.0, |&i| scores[i]);
+            LocCaseStats {
+                ranked: true,
+                correct: order[0] == ctx.faulty_core,
+                margin: scores[order[0]] - runner_up,
+            }
+        } else {
+            LocCaseStats {
+                ranked: false,
+                correct: false,
+                margin: 0.0,
+            }
+        }
+    }
+
+    /// Folds per-case localization statistics in fault-index order —
+    /// the floating-point margin sum is order-sensitive.
+    fn fold_localization(&self, scheme: Scheme, stats: Vec<LocCaseStats>) -> LocalizationReport {
+        let mut correct = 0usize;
+        let mut margins = 0.0f64;
+        let mut ranked = 0usize;
+        for case in stats {
+            if case.ranked {
+                ranked += 1;
+                if case.correct {
+                    correct += 1;
+                }
+                margins += case.margin;
+            }
+        }
+        LocalizationReport {
+            scheme,
+            faults: self.cases.len(),
+            top1_accuracy: correct as f64 / self.cases.len().max(1) as f64,
+            mean_margin: if ranked == 0 {
+                0.0
+            } else {
+                margins / ranked as f64
+            },
+        }
+    }
+
+    /// First-level SOC diagnosis on the calling thread:
+    /// [`run_localization_parallel`](Self::run_localization_parallel)
+    /// at one thread.
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::Plan`] if the diagnosis plan cannot be
-    /// built for this layout/spec.
-    pub fn candidate_sets(&self, scheme: Scheme) -> Result<Vec<Vec<usize>>, CampaignError> {
-        let plan = self.build_plan(scheme)?;
-        let masked = self.masked_cells();
-        Ok((0..self.cases.len())
-            .map(|i| self.case_candidates(&plan, &masked, i))
-            .collect())
+    /// Same as [`run_localization_parallel`](Self::run_localization_parallel).
+    pub fn run_localization(&self, scheme: Scheme) -> Result<LocalizationReport, CampaignError> {
+        self.run_localization_parallel(scheme, 1)
     }
 
     /// First-level SOC diagnosis: which embedded core is faulty?
     ///
-    /// For each fault, the candidate cells are attributed to cores and
-    /// the core with the highest *candidate density* (candidates per
-    /// observation position) is reported as the suspect — the paper's
-    /// motivating use case, where a spot defect must be traced to one
-    /// core before detailed failure analysis.
+    /// For each fault, the observable candidate cells are attributed to
+    /// cores and the core with the highest *candidate density*
+    /// (candidates per observation position) is reported as the
+    /// suspect — the paper's motivating use case, where a spot defect
+    /// must be traced to one core before detailed failure analysis.
+    /// Sharded across `threads` std threads (`0` = one per available
+    /// core); bit-identical at any thread count.
     ///
     /// # Errors
     ///
     /// Returns [`CampaignError::Plan`] if the plan cannot be built, or
     /// [`CampaignError::NotSocCampaign`] if this campaign was not
     /// prepared from an SOC.
-    pub fn run_localization(&self, scheme: Scheme) -> Result<LocalizationReport, CampaignError> {
-        let ctx = self.soc_context()?;
-        let plan = self.build_plan(scheme)?;
-        let stats = (0..self.cases.len()).map(|i| self.loc_case_stats(&plan, ctx, i));
-        Ok(self.fold_localization(scheme, stats))
-    }
-
-    /// First-level SOC diagnosis sharded across `threads` std threads
-    /// (`0` = one per available core). Bit-identical to
-    /// [`run_localization`](Self::run_localization) at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_localization`](Self::run_localization).
     pub fn run_localization_parallel(
         &self,
         scheme: Scheme,
         threads: usize,
     ) -> Result<LocalizationReport, CampaignError> {
-        crate::parallel::run_localization(self, scheme, threads)
+        let ctx = self
+            .soc_context
+            .as_ref()
+            .ok_or(CampaignError::NotSocCampaign)?;
+        let plan = self.build_plan(scheme)?;
+        let masked = self.masked_cells();
+        let stats = sharded_map(self.cases.len(), threads, |i| {
+            self.loc_case_stats(&plan, &masked, ctx, i)
+        });
+        Ok(self.fold_localization(scheme, stats))
     }
 
     /// Cells excluded from evidence and candidates under `noise`: the
     /// spec's X-masked cells plus the noise model's X-corrupted cells.
-    pub(crate) fn robust_masked(&self, noise: &NoiseModel) -> BitSet {
+    fn robust_masked(&self, noise: &NoiseModel) -> BitSet {
         let mut masked = self.masked_cells();
         masked.union_with(&noise.corrupted_cells(self.layout.num_cells()));
         masked
     }
 
     /// Runs the fault-tolerant diagnosis for fault case `index` under a
-    /// prebuilt plan and noise model. Pure: reads only shared state, so
-    /// it may run on any thread.
-    pub(crate) fn robust_case_stats(
+    /// prebuilt plan and noise model.
+    fn robust_case_stats(
         &self,
         plan: &DiagnosisPlan,
         masked: &BitSet,
@@ -774,20 +807,7 @@ impl PreparedCampaign {
         policy: &RobustPolicy,
         index: usize,
     ) -> RobustCaseStats {
-        let case = &self.cases[index];
-        let observable = |pos: &usize| !masked.contains(self.local_to_global[*pos]);
-        let failing: Vec<usize> = case
-            .errors
-            .failing_positions()
-            .iter()
-            .filter(observable)
-            .collect();
-        let truth = plan.analyze_packed(
-            case.errors
-                .iter_words()
-                .map(|(pos, word, bits)| (self.local_to_global[pos], word, bits))
-                .filter(|(cell, _, _)| !masked.contains(*cell)),
-        );
+        let (truth, failing) = self.evidence(plan, masked, index);
         let fault = index as u64;
         let strict_ok = diagnose(plan, &noise.observe(&truth, fault, 0).to_outcome()).status()
             == DiagnosisStatus::Consistent;
@@ -797,9 +817,7 @@ impl PreparedCampaign {
             candidates.difference_with(masked);
         }
         let hit = robust.confidence != Confidence::Inconclusive
-            && failing
-                .iter()
-                .any(|&pos| candidates.contains(self.local_to_global[pos]));
+            && failing.iter().any(|&cell| candidates.contains(cell));
         scan_obs::metrics::incr("robust.cases");
         scan_obs::metrics::record_pow2("robust.candidates_per_fault", candidates.len() as u64);
         RobustCaseStats {
@@ -815,12 +833,8 @@ impl PreparedCampaign {
     }
 
     /// Folds per-case robust statistics, in fault-index order, into a
-    /// [`RobustReport`] — shared by serial and sharded runs.
-    pub(crate) fn fold_robust_report(
-        &self,
-        scheme: Scheme,
-        stats: impl IntoIterator<Item = RobustCaseStats>,
-    ) -> RobustReport {
+    /// [`RobustReport`].
+    fn fold_robust_report(&self, scheme: Scheme, stats: Vec<RobustCaseStats>) -> RobustReport {
         let mut acc = DrAccumulator::new();
         let mut exact = 0usize;
         let mut degraded = 0usize;
@@ -877,7 +891,26 @@ impl PreparedCampaign {
     }
 
     /// Runs the fault-tolerant diagnosis for one scheme over every
-    /// prepared fault, serially. (`noise` is validated at
+    /// prepared fault on the calling thread:
+    /// [`run_robust_parallel`](Self::run_robust_parallel) at one thread.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run_robust_parallel`](Self::run_robust_parallel).
+    pub fn run_robust(
+        &self,
+        scheme: Scheme,
+        noise: &NoiseModel,
+        policy: &RobustPolicy,
+    ) -> Result<RobustReport, CampaignError> {
+        self.run_robust_parallel(scheme, noise, policy, 1)
+    }
+
+    /// Runs the fault-tolerant diagnosis for one scheme over every
+    /// prepared fault, sharded across `threads` std threads (`0` = one
+    /// per available core). Bit-identical at any thread count — every
+    /// noise draw is keyed by `(seed, fault, attempt, session)`, never
+    /// by evaluation order. (`noise` is validated at
     /// [`NoiseModel::new`]; an invalid config surfaces there as
     /// [`CampaignError::Noise`] via `From`.)
     ///
@@ -885,28 +918,6 @@ impl PreparedCampaign {
     ///
     /// Returns [`CampaignError::Plan`] if the diagnosis plan cannot be
     /// built for this layout/spec.
-    pub fn run_robust(
-        &self,
-        scheme: Scheme,
-        noise: &NoiseModel,
-        policy: &RobustPolicy,
-    ) -> Result<RobustReport, CampaignError> {
-        let _span = scan_obs::span!("diagnose_robust_campaign");
-        let plan = self.build_plan(scheme)?;
-        let masked = self.robust_masked(noise);
-        let stats =
-            (0..self.cases.len()).map(|i| self.robust_case_stats(&plan, &masked, noise, policy, i));
-        Ok(self.fold_robust_report(scheme, stats))
-    }
-
-    /// [`run_robust`](Self::run_robust) sharded across `threads` std
-    /// threads (`0` = one per available core). Bit-identical to the
-    /// serial run at any thread count — every noise draw is keyed by
-    /// `(seed, fault, attempt, session)`, never by evaluation order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_robust`](Self::run_robust).
     pub fn run_robust_parallel(
         &self,
         scheme: Scheme,
@@ -914,13 +925,20 @@ impl PreparedCampaign {
         policy: &RobustPolicy,
         threads: usize,
     ) -> Result<RobustReport, CampaignError> {
-        crate::parallel::run_robust(self, scheme, noise, policy, threads)
+        let _span = scan_obs::span!("diagnose_robust_campaign");
+        let plan = self.build_plan(scheme)?;
+        let masked = self.robust_masked(noise);
+        let stats = sharded_map(self.cases.len(), threads, |i| {
+            self.robust_case_stats(&plan, &masked, noise, policy, i)
+        });
+        Ok(self.fold_robust_report(scheme, stats))
     }
 
     /// Replays the fault-tolerant diagnosis recording a per-fault
     /// robust audit trail: confidence, retry/vote/fallback events, and
     /// the convergence steps of the final strict attempt (see
-    /// [`crate::audit::RobustAudit`]).
+    /// [`crate::audit::RobustAudit`]). A serial pass, like
+    /// [`audit`](Self::audit).
     ///
     /// # Errors
     ///
@@ -934,33 +952,10 @@ impl PreparedCampaign {
         let _span = scan_obs::span!("audit_robust");
         let plan = self.build_plan(scheme)?;
         let masked = self.robust_masked(noise);
-        let kinds: Vec<&'static str> = plan
-            .partitions()
-            .iter()
-            .map(|p| {
-                if p.is_interval() {
-                    "interval"
-                } else {
-                    "random-selection"
-                }
-            })
-            .collect();
+        let kinds = partition_kinds(&plan);
         let faults = (0..self.cases.len())
             .map(|index| {
-                let case = &self.cases[index];
-                let observable = |pos: &usize| !masked.contains(self.local_to_global[*pos]);
-                let actual = case
-                    .errors
-                    .failing_positions()
-                    .iter()
-                    .filter(observable)
-                    .count();
-                let truth = plan.analyze_packed(
-                    case.errors
-                        .iter_words()
-                        .map(|(pos, word, bits)| (self.local_to_global[pos], word, bits))
-                        .filter(|(cell, _, _)| !masked.contains(*cell)),
-                );
+                let (truth, failing) = self.evidence(&plan, &masked, index);
                 let robust = diagnose_robust(&plan, &truth, noise, policy, index as u64);
                 let mut candidates = robust.candidates;
                 if !masked.is_empty() {
@@ -984,7 +979,7 @@ impl PreparedCampaign {
                     .collect();
                 crate::audit::RobustFaultAudit {
                     index,
-                    actual,
+                    actual: failing.len(),
                     final_candidates: candidates.len(),
                     confidence: robust.confidence,
                     inconclusive: robust.inconclusive,
@@ -1005,84 +1000,35 @@ impl PreparedCampaign {
             faults,
         })
     }
+}
 
-    pub(crate) fn soc_context(&self) -> Result<&SocContext, CampaignError> {
-        self.soc_context.as_ref().ok_or(CampaignError::NotSocCampaign)
+/// The strict diagnosis of `outcome`, with the `masked` cells dropped
+/// from its candidates.
+fn diagnose_observable(
+    plan: &DiagnosisPlan,
+    outcome: &SessionOutcome,
+    masked: &BitSet,
+) -> Diagnosis {
+    let diag = diagnose(plan, outcome);
+    if masked.is_empty() {
+        diag
+    } else {
+        diag.without_cells(masked)
     }
+}
 
-    /// Localizes fault case `index` to a core. Pure, like
-    /// [`case_stats`](Self::case_stats).
-    pub(crate) fn loc_case_stats(
-        &self,
-        plan: &DiagnosisPlan,
-        ctx: &SocContext,
-        index: usize,
-    ) -> LocCaseStats {
-        let case = &self.cases[index];
-        let outcome = plan.analyze_packed(
-            case.errors
-                .iter_words()
-                .map(|(pos, word, bits)| (self.local_to_global[pos], word, bits)),
-        );
-        let diag = diagnose(plan, &outcome);
-        let mut density = vec![0usize; ctx.core_sizes.len()];
-        for cell in diag.candidates() {
-            density[ctx.core_of_cell[cell] as usize] += 1;
-        }
-        let scores: Vec<f64> = density
-            .iter()
-            .zip(&ctx.core_sizes)
-            .map(|(&d, &s)| d as f64 / s.max(1) as f64)
-            .collect();
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-        if scores[order[0]] > 0.0 {
-            let runner_up = order.get(1).map_or(0.0, |&i| scores[i]);
-            LocCaseStats {
-                ranked: true,
-                correct: order[0] == ctx.faulty_core,
-                margin: scores[order[0]] - runner_up,
-            }
-        } else {
-            LocCaseStats {
-                ranked: false,
-                correct: false,
-                margin: 0.0,
-            }
-        }
-    }
-
-    /// Folds per-case localization statistics in fault-index order —
-    /// the floating-point margin sum is order-sensitive, so the shared
-    /// fold is what makes serial and parallel results bit-identical.
-    pub(crate) fn fold_localization(
-        &self,
-        scheme: Scheme,
-        stats: impl IntoIterator<Item = LocCaseStats>,
-    ) -> LocalizationReport {
-        let mut correct = 0usize;
-        let mut margins = 0.0f64;
-        let mut ranked = 0usize;
-        for case in stats {
-            if case.ranked {
-                ranked += 1;
-                if case.correct {
-                    correct += 1;
-                }
-                margins += case.margin;
-            }
-        }
-        LocalizationReport {
-            scheme,
-            faults: self.cases.len(),
-            top1_accuracy: correct as f64 / self.cases.len().max(1) as f64,
-            mean_margin: if ranked == 0 {
-                0.0
+/// Each partition's kind label, as audit trails report it.
+fn partition_kinds(plan: &DiagnosisPlan) -> Vec<&'static str> {
+    plan.partitions()
+        .iter()
+        .map(|p| {
+            if p.is_interval() {
+                "interval"
             } else {
-                margins / ranked as f64
-            },
-        }
-    }
+                "random-selection"
+            }
+        })
+        .collect()
 }
 
 /// First-level SOC diagnosis results: how reliably the faulty core is
@@ -1310,6 +1256,26 @@ mod tests {
             report.top1_accuracy
         );
         assert!(report.mean_margin >= 0.0);
+    }
+
+    #[test]
+    fn localization_ignores_x_masked_cells() {
+        // Every cell masked: no evidence survives, so localization must
+        // rank no core, just as the strict run finds no candidate.
+        let cores = vec![
+            scan_soc::CoreModule::new(generate::benchmark("s298")),
+            scan_soc::CoreModule::new(generate::benchmark("s344")),
+        ];
+        let soc = Soc::single_chain("duo", cores).unwrap();
+        let mut spec = CampaignSpec::new(64, 8, 6);
+        spec.num_faults = 20;
+        spec.x_mask_fraction = 1.0;
+        let campaign = PreparedCampaign::from_soc(&soc, 1, &spec).unwrap();
+        let strict = campaign.run(Scheme::TWO_STEP_DEFAULT).unwrap();
+        assert_eq!(strict.mean_candidates, 0.0);
+        let report = campaign.run_localization(Scheme::TWO_STEP_DEFAULT).unwrap();
+        assert_eq!(report.top1_accuracy, 0.0);
+        assert_eq!(report.mean_margin, 0.0);
     }
 
     #[test]

@@ -78,9 +78,7 @@ pub mod windows;
 
 pub use audit::{AuditStep, CampaignAudit, FaultAudit, RobustAudit, RobustFaultAudit};
 pub use cancel::CancelToken;
-pub use diagnose::{
-    diagnose, diagnose_cancellable, diagnose_checked, Diagnosis, DiagnosisStatus,
-};
+pub use diagnose::{diagnose, diagnose_checked, Diagnosis, DiagnosisStatus};
 pub use error::{BuildPlanError, DiagnoseError, NoiseConfigError};
 pub use noise::{NoiseConfig, NoiseModel, ObservedOutcome, Verdict};
 pub use robust::{

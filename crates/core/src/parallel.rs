@@ -1,16 +1,19 @@
 //! Deterministic std-thread sharding of fault-injection campaigns.
 //!
 //! A prepared campaign diagnoses each injected fault independently:
-//! [`PreparedCampaign`] holds no interior mutability, so its per-case
-//! analysis is pure and can run on any thread. This module shards the
-//! fault indices across [`std::thread::scope`] workers in contiguous
-//! chunks, then folds the per-case statistics back **in fault-index
-//! order** through the exact same fold the serial path uses.
+//! [`PreparedCampaign`](crate::PreparedCampaign) holds no interior
+//! mutability, so its per-case analysis is pure and can run on any
+//! thread. Every campaign report — `run_parallel`,
+//! `run_robust_parallel`, `run_localization_parallel`, and their
+//! one-thread forms `run`, `run_robust`, `run_localization` — shards
+//! the fault indices through this module's one loop: contiguous chunks
+//! on [`std::thread::scope`] workers, with the per-case statistics
+//! folded back **in fault-index order**.
 //!
 //! # Determinism guarantee
 //!
-//! Parallel results are *bit-identical* to serial results at any thread
-//! count, by construction rather than by tolerance:
+//! Results are *bit-identical* at any thread count, by construction
+//! rather than by tolerance:
 //!
 //! 1. every per-fault statistic is computed from shared immutable state
 //!    (plan, mask, error maps) with no cross-case data flow;
@@ -22,36 +25,19 @@
 //!
 //! Where a stream seed must vary per shard — e.g. the per-core PRPG
 //! seeds of an SOC campaign — it is derived as
-//! [`derive_seed`]`(base, index)`, a `SplitMix64` mix of the base seed
-//! with the shard index, never by handing one sequential RNG stream to
-//! racing workers. The integration test `tests/parallel_determinism.rs`
-//! checks the guarantee end-to-end at 1, 2, and 8 threads.
+//! [`scan_rng::derive`]`(base, index)`, a `SplitMix64` mix of the base
+//! seed with the shard index, never by handing one sequential RNG
+//! stream to racing workers. The integration test
+//! `tests/parallel_determinism.rs` checks the guarantee end-to-end at
+//! 1, 2, and 8 threads.
 
 use std::num::NonZeroUsize;
-
-use scan_bist::Scheme;
-
-use crate::experiment::{
-    CampaignError, LocalizationReport, PreparedCampaign, RobustReport, SchemeReport,
-};
-use crate::noise::NoiseModel;
-use crate::robust::RobustPolicy;
 
 /// Number of worker threads the `threads = 0` ("auto") setting resolves
 /// to: one per core the OS reports available, with a floor of 1.
 #[must_use]
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-}
-
-/// The workspace's shard-seed derivation rule: decorrelates a base seed
-/// per fault (or core, or worker) index through `SplitMix64`, so sharded
-/// streams never overlap and never depend on worker scheduling.
-///
-/// Re-exported from [`scan_rng::derive`].
-#[must_use]
-pub fn derive_seed(base: u64, index: u64) -> u64 {
-    scan_rng::derive(base, index)
 }
 
 /// Resolves a user thread request: `0` means auto, and there is never a
@@ -68,7 +54,7 @@ fn effective_threads(threads: usize, cases: usize) -> usize {
 /// Shards `0..cases` across `threads` workers in contiguous chunks,
 /// filling `slot[i]` with `work(i)`, and returns the slots in index
 /// order.
-fn sharded_map<T, F>(cases: usize, threads: usize, work: F) -> Vec<T>
+pub(crate) fn sharded_map<T, F>(cases: usize, threads: usize, work: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -112,116 +98,13 @@ where
     slots.into_iter().map(|s| s.expect("every case computed")).collect()
 }
 
-/// Runs one scheme over every prepared fault, sharded across `threads`
-/// std threads (`0` = [`available_threads`]).
-///
-/// # Errors
-///
-/// Returns [`CampaignError::Plan`] if the diagnosis plan cannot be
-/// built for this layout/spec.
-pub fn run_campaign(
-    campaign: &PreparedCampaign,
-    scheme: Scheme,
-    threads: usize,
-) -> Result<SchemeReport, CampaignError> {
-    let _span = scan_obs::span!("diagnose");
-    let plan = campaign.build_plan(scheme)?;
-    let masked = campaign.masked_cells();
-    let stats = sharded_map(campaign.num_faults(), threads, |i| {
-        campaign.case_stats(&plan, &masked, i)
-    });
-    Ok(campaign.fold_report(scheme, stats))
-}
-
-/// Runs several schemes over the same prepared campaign, each sharded
-/// like [`run_campaign`] — the table binaries' comparison loop.
-///
-/// # Errors
-///
-/// Returns [`CampaignError::Plan`] if any scheme's plan cannot be
-/// built.
-pub fn run_schemes(
-    campaign: &PreparedCampaign,
-    schemes: &[Scheme],
-    threads: usize,
-) -> Result<Vec<SchemeReport>, CampaignError> {
-    schemes
-        .iter()
-        .map(|&scheme| run_campaign(campaign, scheme, threads))
-        .collect()
-}
-
-/// Per-fault final candidate sets (ascending cell ids), sharded across
-/// `threads` std threads. Identical to
-/// [`PreparedCampaign::candidate_sets`] at any thread count.
-///
-/// # Errors
-///
-/// Returns [`CampaignError::Plan`] if the diagnosis plan cannot be
-/// built for this layout/spec.
-pub fn candidate_sets(
-    campaign: &PreparedCampaign,
-    scheme: Scheme,
-    threads: usize,
-) -> Result<Vec<Vec<usize>>, CampaignError> {
-    let plan = campaign.build_plan(scheme)?;
-    let masked = campaign.masked_cells();
-    Ok(sharded_map(campaign.num_faults(), threads, |i| {
-        campaign.case_candidates(&plan, &masked, i)
-    }))
-}
-
-/// Runs the fault-tolerant (noisy) diagnosis over every prepared fault,
-/// sharded across `threads` std threads. Bit-identical to
-/// [`PreparedCampaign::run_robust`] at any thread count: every noise
-/// draw is keyed by `(seed, fault, attempt, session)` rather than by a
-/// shared sequential stream, and the fold runs in fault-index order.
-///
-/// # Errors
-///
-/// Same as [`PreparedCampaign::run_robust`].
-pub fn run_robust(
-    campaign: &PreparedCampaign,
-    scheme: Scheme,
-    noise: &NoiseModel,
-    policy: &RobustPolicy,
-    threads: usize,
-) -> Result<RobustReport, CampaignError> {
-    let _span = scan_obs::span!("diagnose_robust_campaign");
-    let plan = campaign.build_plan(scheme)?;
-    let masked = campaign.robust_masked(noise);
-    let stats = sharded_map(campaign.num_faults(), threads, |i| {
-        campaign.robust_case_stats(&plan, &masked, noise, policy, i)
-    });
-    Ok(campaign.fold_robust_report(scheme, stats))
-}
-
-/// First-level SOC diagnosis (which core is faulty?) sharded across
-/// `threads` std threads. Bit-identical to
-/// [`PreparedCampaign::run_localization`] — the floating-point margin
-/// sum folds in fault-index order regardless of completion order.
-///
-/// # Errors
-///
-/// Same as [`PreparedCampaign::run_localization`].
-pub fn run_localization(
-    campaign: &PreparedCampaign,
-    scheme: Scheme,
-    threads: usize,
-) -> Result<LocalizationReport, CampaignError> {
-    let ctx = campaign.soc_context()?;
-    let plan = campaign.build_plan(scheme)?;
-    let stats = sharded_map(campaign.num_faults(), threads, |i| {
-        campaign.loc_case_stats(&plan, ctx, i)
-    });
-    Ok(campaign.fold_localization(scheme, stats))
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // bit-identical results are the contract
 mod tests {
     use super::*;
-    use crate::experiment::CampaignSpec;
+    use crate::experiment::{CampaignSpec, PreparedCampaign};
+    use crate::robust::RobustPolicy;
+    use scan_bist::Scheme;
     use scan_netlist::generate;
 
     #[test]
@@ -244,12 +127,6 @@ mod tests {
     fn sharded_map_handles_empty_input() {
         let out: Vec<usize> = sharded_map(0, 4, |i| i);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn derive_seed_matches_rng_crate() {
-        assert_eq!(derive_seed(2003, 7), scan_rng::derive(2003, 7));
-        assert_ne!(derive_seed(2003, 7), derive_seed(2003, 8));
     }
 
     #[test]

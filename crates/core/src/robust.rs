@@ -26,10 +26,12 @@
 //! intersection — bit-identical candidates, zero retries,
 //! [`Confidence::Exact`].
 
+use std::convert::Infallible;
+
 use scan_netlist::BitSet;
 
 use crate::cancel::CancelToken;
-use crate::diagnose::{diagnose_cancellable, DiagnosisStatus};
+use crate::diagnose::{diagnose_cancellable, intersect, poll_cancel, Diagnosis, DiagnosisStatus};
 use crate::error::DiagnoseError;
 use crate::noise::{NoiseModel, ObservedOutcome, Verdict};
 use crate::session::{DiagnosisPlan, SessionOutcome};
@@ -188,6 +190,23 @@ pub struct RobustDiagnosis {
 }
 
 impl RobustDiagnosis {
+    /// The exact, recovery-free result of a strict intersection over
+    /// `verdicts`: the shape every robust run starts from before its
+    /// final status is graded.
+    fn exact(strict: &Diagnosis, verdicts: ObservedOutcome) -> Self {
+        RobustDiagnosis {
+            confidence: Confidence::Exact,
+            candidates: strict.candidates().clone(),
+            prefix_counts: strict.prefix_counts().to_vec(),
+            retry_rounds: 0,
+            retried_sessions: 0,
+            used_fallback: false,
+            inconclusive: None,
+            events: Vec::new(),
+            verdicts,
+        }
+    }
+
     /// Number of candidate cells.
     #[must_use]
     pub fn num_candidates(&self) -> usize {
@@ -264,11 +283,12 @@ fn session_index(observed: &ObservedOutcome, partition: usize, group: u16) -> u6
 }
 
 /// Weighted group voting: scores every cell by the summed weight of
-/// failing sessions that cover it and returns the top-scoring cells.
+/// failing sessions that cover it (weight 1 each when `weights` is
+/// `None`) and returns the top-scoring cells.
 fn weighted_vote(
     plan: &DiagnosisPlan,
     observed: &ObservedOutcome,
-    weights: &SessionWeights,
+    weights: Option<&SessionWeights>,
 ) -> (BitSet, f64) {
     let layout = plan.layout();
     let num_cells = layout.num_cells();
@@ -278,7 +298,7 @@ fn weighted_vote(
             let (_, pos) = layout.coord(cell);
             let group = partition.group_of(pos as usize);
             if observed.verdict(p, group) == Verdict::Fail {
-                *score += weights.get(p, group);
+                *score += weights.map_or(1.0, |w| w.get(p, group));
             }
         }
     }
@@ -339,29 +359,6 @@ fn resolve_ballots(fail_votes: usize, pass_votes: usize) -> (Verdict, f64) {
     (verdict, weight)
 }
 
-/// The noiseless short-circuit: bit-identical to the strict engine.
-/// (Clean histories can still intersect to empty under MISR aliasing;
-/// that is the strict engine's documented behavior and is preserved
-/// here rather than misreported as noise.)
-fn noiseless_diagnosis(
-    plan: &DiagnosisPlan,
-    truth: &SessionOutcome,
-    cancel: &CancelToken,
-) -> Result<RobustDiagnosis, DiagnoseError> {
-    let d = diagnose_cancellable(plan, truth, cancel)?;
-    Ok(RobustDiagnosis {
-        confidence: Confidence::Exact,
-        candidates: d.candidates().clone(),
-        prefix_counts: d.prefix_counts().to_vec(),
-        retry_rounds: 0,
-        retried_sessions: 0,
-        used_fallback: false,
-        inconclusive: None,
-        events: Vec::new(),
-        verdicts: ObservedOutcome::from_truth(truth),
-    })
-}
-
 /// Runs the fault-tolerant diagnosis loop for one fault.
 ///
 /// `truth` is the fault's true session outcome (from
@@ -378,12 +375,10 @@ pub fn diagnose_robust(
     policy: &RobustPolicy,
     fault: u64,
 ) -> RobustDiagnosis {
-    match diagnose_robust_cancellable(plan, truth, noise, policy, fault, &CancelToken::new()) {
-        Ok(robust) => robust,
-        // A fresh private token is never cancelled, and cancellation is
-        // the only error the cancellable engine can return.
-        Err(_) => unreachable!("uncancellable diagnose_robust cannot be cancelled"),
-    }
+    let Ok(robust) = recover(plan, truth, noise, policy, fault, &mut |_| {
+        Ok::<(), Infallible>(())
+    });
+    robust
 }
 
 /// Like [`diagnose_robust`], but polls `cancel` between partition
@@ -406,9 +401,34 @@ pub fn diagnose_robust_cancellable(
     fault: u64,
     cancel: &CancelToken,
 ) -> Result<RobustDiagnosis, DiagnoseError> {
+    recover(plan, truth, noise, policy, fault, &mut |p| {
+        poll_cancel(cancel, p)
+    })
+}
+
+/// The detect–retry–degrade loop behind [`diagnose_robust`]: `poll(p)`
+/// runs between partition sessions (with `p` partitions intersected)
+/// and between retry rounds, and its first `Err` ends the run.
+///
+/// With a noiseless model it short-circuits to the strict engine,
+/// bit-identically. (Clean histories can still intersect to empty
+/// under MISR aliasing; that is the strict engine's documented
+/// behavior and is preserved rather than misreported as noise.)
+fn recover<E>(
+    plan: &DiagnosisPlan,
+    truth: &SessionOutcome,
+    noise: &NoiseModel,
+    policy: &RobustPolicy,
+    fault: u64,
+    poll: &mut impl FnMut(usize) -> Result<(), E>,
+) -> Result<RobustDiagnosis, E> {
     let _span = scan_obs::span!("diagnose_robust");
     if noise.is_noiseless() {
-        return noiseless_diagnosis(plan, truth, cancel);
+        let strict = intersect(plan, truth, poll)?;
+        return Ok(RobustDiagnosis::exact(
+            &strict,
+            ObservedOutcome::from_truth(truth),
+        ));
     }
 
     let mut observed = noise.observe(truth, fault, 0);
@@ -419,16 +439,12 @@ pub fn diagnose_robust_cancellable(
     let mut next_attempt = 1u64;
     let votes = policy.effective_votes();
 
-    let mut strict = diagnose_cancellable(plan, &observed.to_outcome(), cancel)?;
+    let mut strict = intersect(plan, &observed.to_outcome(), poll)?;
     let attempt0_clean =
         strict.status() == DiagnosisStatus::Consistent && observed.num_lost() == 0;
 
     for round in 0..policy.max_retry_rounds {
-        if cancel.is_cancelled() {
-            return Err(DiagnoseError::Cancelled {
-                completed_partitions: plan.partitions().len(),
-            });
-        }
+        poll(plan.partitions().len())?;
         let flagged = flagged_sessions(&observed, strict.status());
         if flagged.is_empty() {
             break;
@@ -461,35 +477,33 @@ pub fn diagnose_robust_cancellable(
         // Every retried session consumed ballot attempts from the same
         // window, so one bump keeps attempt indices deterministic.
         next_attempt += votes as u64;
-        strict = diagnose_cancellable(plan, &observed.to_outcome(), cancel)?;
+        strict = intersect(plan, &observed.to_outcome(), poll)?;
     }
 
-    // Start from the consistent-outcome shape and overwrite the fields
-    // the other statuses change.
-    let status = strict.status();
     let mut result = RobustDiagnosis {
-        confidence: Confidence::Exact,
-        candidates: strict.candidates().clone(),
-        prefix_counts: strict.prefix_counts().to_vec(),
         retry_rounds,
         retried_sessions,
-        used_fallback: false,
-        inconclusive: None,
         events,
-        verdicts: observed,
+        ..RobustDiagnosis::exact(&strict, observed)
     };
-    grade_final_status(plan, status, attempt0_clean, &weights, &mut result);
+    grade_final_status(
+        plan,
+        strict.status(),
+        attempt0_clean,
+        Some(&weights),
+        &mut result,
+    );
     Ok(result)
 }
 
-/// Folds the post-retry strict status into the result's confidence,
-/// candidates, and fallback fields (the last step of
-/// [`diagnose_robust_cancellable`]).
+/// Folds the final strict status into the result's confidence,
+/// candidates, and fallback fields: the last step of every robust run.
+/// `weights` of `None` votes every session at weight 1.
 fn grade_final_status(
     plan: &DiagnosisPlan,
     status: DiagnosisStatus,
     attempt0_clean: bool,
-    weights: &SessionWeights,
+    weights: Option<&SessionWeights>,
     result: &mut RobustDiagnosis,
 ) {
     match status {
@@ -562,46 +576,8 @@ pub fn diagnose_reported(
 ) -> Result<RobustDiagnosis, DiagnoseError> {
     let _span = scan_obs::span!("diagnose_reported");
     let strict = diagnose_cancellable(plan, outcome, cancel)?;
-    let observed = ObservedOutcome::from_truth(outcome);
-    let mut result = RobustDiagnosis {
-        confidence: Confidence::Exact,
-        candidates: strict.candidates().clone(),
-        prefix_counts: strict.prefix_counts().to_vec(),
-        retry_rounds: 0,
-        retried_sessions: 0,
-        used_fallback: false,
-        inconclusive: None,
-        events: Vec::new(),
-        verdicts: observed,
-    };
-    match strict.status() {
-        DiagnosisStatus::Consistent => {}
-        DiagnosisStatus::AllPassed => {
-            scan_obs::metrics::incr("robust.inconclusive");
-            result.confidence = Confidence::Inconclusive;
-            result.candidates = BitSet::new(plan.layout().num_cells());
-            result.inconclusive = Some(InconclusiveReason::AllPassed);
-        }
-        DiagnosisStatus::Contradictory { partition } => {
-            scan_obs::metrics::incr("robust.fallbacks");
-            let weights = SessionWeights::unit(&result.verdicts);
-            let (candidates, support) = weighted_vote(plan, &result.verdicts, &weights);
-            result.events.push(RobustEvent::Fallback {
-                partition,
-                support,
-                candidates: candidates.len(),
-            });
-            result.used_fallback = true;
-            if candidates.is_empty() {
-                scan_obs::metrics::incr("robust.inconclusive");
-                result.confidence = Confidence::Inconclusive;
-                result.inconclusive = Some(InconclusiveReason::NoSupport);
-            } else {
-                result.confidence = Confidence::Degraded;
-            }
-            result.candidates = candidates;
-        }
-    }
+    let mut result = RobustDiagnosis::exact(&strict, ObservedOutcome::from_truth(outcome));
+    grade_final_status(plan, strict.status(), true, None, &mut result);
     Ok(result)
 }
 

@@ -9,11 +9,7 @@
 use scan_bist::Scheme;
 use scan_soc::Soc;
 
-use crate::experiment::{
-    CampaignError, CampaignSpec, PreparedCampaign, RobustReport, SchemeReport,
-};
-use crate::noise::NoiseModel;
-use crate::robust::RobustPolicy;
+use crate::experiment::{CampaignError, CampaignSpec, PreparedCampaign, SchemeReport};
 
 /// Results for one failing core: one report per requested scheme.
 #[derive(Clone, Debug)]
@@ -24,7 +20,10 @@ pub struct CoreRow {
     pub reports: Vec<SchemeReport>,
 }
 
-/// Runs the SOC diagnosis campaign for every core and every scheme.
+/// Runs the SOC diagnosis campaign for every core and every scheme,
+/// each core's per-fault diagnosis sharded across `threads` std threads
+/// (`0` = one per available CPU) — the workspace's slowest path, and
+/// bit-identical at any thread count (see [`crate::parallel`]).
 ///
 /// The same prepared fault evidence is reused across schemes for each
 /// core, matching the paper's controlled comparison.
@@ -36,22 +35,6 @@ pub fn diagnose_each_core(
     soc: &Soc,
     spec: &CampaignSpec,
     schemes: &[Scheme],
-) -> Result<Vec<CoreRow>, CampaignError> {
-    diagnose_each_core_parallel(soc, spec, schemes, 1)
-}
-
-/// [`diagnose_each_core`] with each core's per-fault diagnosis sharded
-/// across `threads` std threads (`0` = one per available CPU) — the
-/// workspace's slowest path, and bit-identical to the serial run at any
-/// thread count (see [`crate::parallel`]).
-///
-/// # Errors
-///
-/// Returns the first [`CampaignError`] encountered.
-pub fn diagnose_each_core_parallel(
-    soc: &Soc,
-    spec: &CampaignSpec,
-    schemes: &[Scheme],
     threads: usize,
 ) -> Result<Vec<CoreRow>, CampaignError> {
     let num_cores = soc.cores().len();
@@ -60,7 +43,10 @@ pub fn diagnose_each_core_parallel(
         {
             let _span = scan_obs::span!("core[{}]", core.name());
             let campaign = PreparedCampaign::from_soc(soc, index, spec)?;
-            let reports = crate::parallel::run_schemes(&campaign, schemes, threads)?;
+            let reports = schemes
+                .iter()
+                .map(|&scheme| campaign.run_parallel(scheme, threads))
+                .collect::<Result<_, _>>()?;
             rows.push(CoreRow {
                 core: core.name().to_owned(),
                 reports,
@@ -71,53 +57,6 @@ pub fn diagnose_each_core_parallel(
         // /metrics scrape) sees per-core progress rather than one
         // burst at process exit. The core span is closed above, so
         // nothing open is discarded.
-        scan_obs::flush_thread();
-        scan_obs::progress::tick("soc_cores", index + 1, num_cores);
-    }
-    Ok(rows)
-}
-
-/// Fault-tolerant results for one failing core.
-#[derive(Clone, Debug)]
-pub struct RobustCoreRow {
-    /// Name of the (assumed faulty) core.
-    pub core: String,
-    /// The robust campaign report for that core's faults.
-    pub report: RobustReport,
-}
-
-/// Runs the fault-tolerant diagnosis campaign for every core under a
-/// shared noise model — the SOC counterpart of
-/// [`PreparedCampaign::run_robust`]. Each core's per-fault loop is
-/// sharded across `threads` std threads (`0` = one per available CPU)
-/// and is bit-identical to a serial run at any thread count.
-///
-/// # Errors
-///
-/// Returns the first [`CampaignError`] encountered.
-pub fn diagnose_each_core_robust(
-    soc: &Soc,
-    spec: &CampaignSpec,
-    scheme: Scheme,
-    noise: &NoiseModel,
-    policy: &RobustPolicy,
-    threads: usize,
-) -> Result<Vec<RobustCoreRow>, CampaignError> {
-    let num_cores = soc.cores().len();
-    let mut rows = Vec::with_capacity(num_cores);
-    for (index, core) in soc.cores().iter().enumerate() {
-        {
-            let _span = scan_obs::span!("core[{}]", core.name());
-            let campaign = PreparedCampaign::from_soc(soc, index, spec)?;
-            let report =
-                crate::parallel::run_robust(&campaign, scheme, noise, policy, threads)?;
-            rows.push(RobustCoreRow {
-                core: core.name().to_owned(),
-                report,
-            });
-        }
-        // Same per-core fold as `diagnose_each_core_parallel`: live
-        // telemetry sees each core land as it completes.
         scan_obs::flush_thread();
         scan_obs::progress::tick("soc_cores", index + 1, num_cores);
     }
@@ -140,41 +79,12 @@ mod tests {
         let mut spec = CampaignSpec::new(32, 4, 3);
         spec.num_faults = 15;
         let schemes = [Scheme::RandomSelection, Scheme::TWO_STEP_DEFAULT];
-        let rows = diagnose_each_core(&soc, &spec, &schemes).unwrap();
+        let rows = diagnose_each_core(&soc, &spec, &schemes, 1).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].core, "s298");
         for row in &rows {
             assert_eq!(row.reports.len(), 2);
             assert_eq!(row.reports[0].scheme, Scheme::RandomSelection);
-        }
-    }
-
-    #[test]
-    fn robust_rows_cover_every_core() {
-        use crate::noise::{NoiseConfig, NoiseModel};
-        use crate::robust::RobustPolicy;
-        let cores = vec![
-            CoreModule::new(generate::benchmark("s298")),
-            CoreModule::new(generate::benchmark("s344")),
-        ];
-        let soc = Soc::single_chain("duo", cores).unwrap();
-        let mut spec = CampaignSpec::new(32, 4, 3);
-        spec.num_faults = 12;
-        let mut cfg = NoiseConfig::noiseless(9);
-        cfg.flip_rate = 0.02;
-        let noise = NoiseModel::new(cfg).unwrap();
-        let policy = RobustPolicy::default();
-        let rows =
-            diagnose_each_core_robust(&soc, &spec, Scheme::TWO_STEP_DEFAULT, &noise, &policy, 2)
-                .unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].core, "s298");
-        for row in &rows {
-            assert_eq!(row.report.faults, 12);
-            assert_eq!(
-                row.report.exact + row.report.degraded + row.report.inconclusive,
-                row.report.faults
-            );
         }
     }
 
@@ -189,9 +99,9 @@ mod tests {
         let mut spec = CampaignSpec::new(32, 4, 3);
         spec.num_faults = 15;
         let schemes = [Scheme::RandomSelection, Scheme::TWO_STEP_DEFAULT];
-        let serial = diagnose_each_core(&soc, &spec, &schemes).unwrap();
+        let serial = diagnose_each_core(&soc, &spec, &schemes, 1).unwrap();
         for threads in [2, 8] {
-            let par = diagnose_each_core_parallel(&soc, &spec, &schemes, threads).unwrap();
+            let par = diagnose_each_core(&soc, &spec, &schemes, threads).unwrap();
             for (s, p) in serial.iter().zip(&par) {
                 assert_eq!(s.core, p.core);
                 for (sr, pr) in s.reports.iter().zip(&p.reports) {

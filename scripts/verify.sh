@@ -96,6 +96,17 @@ grep -q '"inconclusive":0' "$SMOKE_DIR/noise_summary.json" || {
     echo "noisy smoke left faults inconclusive:"; cat "$SMOKE_DIR/noise_summary.json"; exit 1;
 }
 
+echo "==> smoke outputs byte-identical to the checked-in goldens"
+GOLDEN=crates/cli/tests/golden
+# The instrumented run stamps each audit record with its (random) trace
+# id; strip it so the audit content itself is compared.
+sed 's/^{"trace":"[0-9a-f]*",/{/' "$SMOKE_DIR/audit.ndjson" | cmp - "$GOLDEN/audit.ndjson" || {
+    echo "audit.ndjson differs from $GOLDEN/audit.ndjson"; exit 1;
+}
+for F in noise_audit.ndjson noise_summary.json; do
+    cmp "$SMOKE_DIR/$F" "$GOLDEN/$F" || { echo "$F differs from $GOLDEN/$F"; exit 1; }
+done
+
 echo "==> quick bench smoke (scanbist bench --quick)"
 ./target/release/scanbist \
     bench --quick --out "$SMOKE_DIR/BENCH_quick.json" \
