@@ -6,7 +6,7 @@
 //! select) splits each session per chain — `w×` the sessions, full
 //! cross-chain resolution. This ablation runs SOC 2 both ways.
 
-use scan_bench::{fmt_dr, render_table, table4_spec, ObsSession};
+use scan_bench::{fmt_dr, render_table, table4_spec};
 use scan_bist::Scheme;
 use scan_diagnosis::chain_mask::{analyze_chain_masked, diagnose_chain_masked};
 use scan_diagnosis::{diagnose, BistConfig, ChainLayout, DiagnosisPlan, DrAccumulator};
@@ -15,7 +15,7 @@ use scan_sim::PpsfpSimulator;
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("ablation_chain_mask");
+    let (obs, _rest) = scan_bench::start_session("ablation_chain_mask");
     let spec = table4_spec();
     let soc = d695::soc2().expect("SOC 2 builds");
     println!(
@@ -83,5 +83,5 @@ fn main() {
         "sessions: baseline {baseline_sessions}, chain-masked {masked_sessions} (×{} chains)",
         soc.num_chains()
     );
-    obs.finish();
+    obs.finish(false);
 }

@@ -7,13 +7,13 @@
 //! random selection) to all-interval and reports DR per partition
 //! count.
 
-use scan_bench::{fmt_dr, render_table, ObsSession};
+use scan_bench::{fmt_dr, render_table};
 use scan_bist::Scheme;
 use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_netlist::generate;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("ablation_interval_count");
+    let (obs, _rest) = scan_bench::start_session("ablation_interval_count");
     let circuit = generate::benchmark("s953");
     let mut spec = CampaignSpec::new(200, 4, 8);
     spec.num_faults = 300;
@@ -56,5 +56,5 @@ fn main() {
         .collect();
     println!("{}", render_table(&header_refs, &rows));
     println!("(column = number of leading interval-based partitions in the two-step scheme)");
-    obs.finish();
+    obs.finish(false);
 }

@@ -7,13 +7,13 @@
 //! cells) and its DR impact as the MISR width grows — motivating the
 //! 16-bit register the experiments use.
 
-use scan_bench::{fmt_dr, render_table, ObsSession};
+use scan_bench::{fmt_dr, render_table};
 use scan_bist::Scheme;
 use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_netlist::generate;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("ablation_misr");
+    let (obs, _rest) = scan_bench::start_session("ablation_misr");
     let circuit = generate::benchmark("s5378");
     println!("Ablation — MISR width on s5378, two-step, 8 groups, 4 partitions, 300 faults");
     println!();
@@ -40,5 +40,5 @@ fn main() {
     println!(
         "lost true cells = failing cells dropped from the candidate set by signature aliasing"
     );
-    obs.finish();
+    obs.finish(false);
 }

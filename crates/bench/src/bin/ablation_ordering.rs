@@ -7,13 +7,13 @@
 //! degrade on a shuffled chain while random selection is indifferent to
 //! ordering.
 
-use scan_bench::{fmt_dr, render_table, ObsSession};
+use scan_bench::{fmt_dr, render_table};
 use scan_bist::Scheme;
 use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_netlist::{generate, ScanOrdering};
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("ablation_ordering");
+    let (obs, _rest) = scan_bench::start_session("ablation_ordering");
     let mut spec = CampaignSpec::new(128, 8, 4);
     spec.num_faults = 300;
     println!(
@@ -66,5 +66,5 @@ fn main() {
             )
         );
     }
-    obs.finish();
+    obs.finish(false);
 }

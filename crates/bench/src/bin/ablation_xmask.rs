@@ -5,13 +5,13 @@
 //! and diagnosis loses both evidence and suspects. This sweep measures
 //! how gracefully the schemes degrade as the masked fraction grows.
 
-use scan_bench::{fmt_dr, render_table, ObsSession};
+use scan_bench::{fmt_dr, render_table};
 use scan_bist::Scheme;
 use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_netlist::generate;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("ablation_xmask");
+    let (obs, _rest) = scan_bench::start_session("ablation_xmask");
     let circuit = generate::benchmark("s5378");
     println!("Ablation — X-masked cell fraction on s5378, 8 groups, 8 partitions, 300 faults");
     println!();
@@ -49,5 +49,5 @@ fn main() {
             &rows
         )
     );
-    obs.finish();
+    obs.finish(false);
 }

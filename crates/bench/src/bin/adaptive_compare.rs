@@ -8,7 +8,7 @@
 //! scheme, the sessions executed and the resolution reached, on the
 //! same fault evidence.
 
-use scan_bench::{render_table, ObsSession};
+use scan_bench::render_table;
 use scan_bist::Scheme;
 use scan_diagnosis::adaptive::adaptive_binary_search;
 use scan_diagnosis::{
@@ -18,7 +18,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::PpsfpSimulator;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("adaptive_compare");
+    let (obs, _rest) = scan_bench::start_session("adaptive_compare");
     let circuit = generate::benchmark("s5378");
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;
@@ -85,5 +85,5 @@ fn main() {
     );
     println!();
     println!("fixed = precomputed schedule (no interruptions); adaptive = masks recomputed between rounds");
-    obs.finish();
+    obs.finish(false);
 }

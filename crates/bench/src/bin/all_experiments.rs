@@ -13,15 +13,16 @@
 //!
 //! With `--trace` / `--metrics-out <path>` / `--progress` the
 //! orchestrator records its own spans and also forwards matching flags
-//! to the observability-aware children ([`OBS_AWARE`]), which then drop
-//! `trace_<name>.ndjson` / `metrics_<name>.json` next to their `.txt`
-//! results in `out_dir`. The orchestrator's trace context is handed to
-//! each child via `SCANBIST_TRACE_ID` / `SCANBIST_PARENT_SPAN`, so the
-//! per-child NDJSON streams join into one cross-process trace tree
+//! to every child, each of which then drops `trace_<name>.ndjson` /
+//! `metrics_<name>.json` next to its `.txt` result in `out_dir`. The
+//! orchestrator's trace context is handed to each child via
+//! `SCANBIST_TRACE_ID` / `SCANBIST_PARENT_SPAN`, so the per-child
+//! NDJSON streams join into one cross-process trace tree
 //! (`obs-check --join results/trace_*.ndjson`). With `--flight-recorder
 //! <path>` the orchestrator also arms a per-child black box
 //! (`flight_<name>.ndjson` in `out_dir`): a worker that panics leaves a
-//! dump that joins the same trace tree.
+//! dump that joins the same trace tree, and the orchestrator, which
+//! then exits 1, dumps its own ring.
 //!
 //! `--only <a,b,…>` restricts the run to a comma-separated subset of
 //! the experiment names — handy for smoke tests and trace-join checks.
@@ -30,8 +31,6 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use scan_bench::ObsSession;
 
 /// Every experiment binary, in reporting order.
 const EXPERIMENTS: &[&str] = &[
@@ -64,17 +63,13 @@ const EXPERIMENTS: &[&str] = &[
     "chain_defects",
 ];
 
-/// Experiment binaries that understand the observability flags and can
-/// emit their own trace/metrics files.
-const OBS_AWARE: &[&str] = &["table1", "table2", "table3", "table4"];
-
 enum Outcome {
     Ok(PathBuf),
     Failed(String),
 }
 
 fn main() {
-    let (obs, rest) = ObsSession::start("all_experiments");
+    let (obs, rest) = scan_bench::start_session("all_experiments");
     let forward_trace = scan_obs::registry::trace_enabled();
     let forward_metrics = scan_obs::registry::metrics_enabled();
     let forward_progress = scan_obs::registry::progress_enabled();
@@ -150,32 +145,30 @@ fn main() {
                 eprintln!("running {name}…");
                 let _span = scan_obs::span!("experiment[{}]", name);
                 let mut command = Command::new(exe_dir.join(name));
-                if OBS_AWARE.contains(name) {
-                    if forward_trace {
-                        command.arg("--trace-out");
-                        command.arg(out_dir.join(format!("trace_{name}.ndjson")));
-                    }
-                    if forward_metrics {
-                        command.arg("--metrics-out");
-                        command.arg(out_dir.join(format!("metrics_{name}.json")));
-                    }
-                    if forward_progress {
-                        command.arg("--progress");
-                    }
-                    if forward_flight {
-                        // A crashing worker then leaves a black-box
-                        // dump that joins this orchestrator's trace via
-                        // the handed-down context (`obs-check --join`).
-                        command.arg("--flight-recorder");
-                        command.arg(out_dir.join(format!("flight_{name}.ndjson")));
-                    }
-                    if let Some(ctx) = &context {
-                        // The child's parent span is the orchestrator
-                        // span wrapping this subprocess, so its stream
-                        // joins the cross-process trace tree there.
-                        for (key, value) in ctx.child_env(&format!("experiment[{name}]")) {
-                            command.env(key, value);
-                        }
+                if forward_trace {
+                    command.arg("--trace-out");
+                    command.arg(out_dir.join(format!("trace_{name}.ndjson")));
+                }
+                if forward_metrics {
+                    command.arg("--metrics-out");
+                    command.arg(out_dir.join(format!("metrics_{name}.json")));
+                }
+                if forward_progress {
+                    command.arg("--progress");
+                }
+                if forward_flight {
+                    // A crashing worker then leaves a black-box
+                    // dump that joins this orchestrator's trace via
+                    // the handed-down context (`obs-check --join`).
+                    command.arg("--flight-recorder");
+                    command.arg(out_dir.join(format!("flight_{name}.ndjson")));
+                }
+                if let Some(ctx) = &context {
+                    // The child's parent span is the orchestrator
+                    // span wrapping this subprocess, so its stream
+                    // joins the cross-process trace tree there.
+                    for (key, value) in ctx.child_env(&format!("experiment[{name}]")) {
+                        command.env(key, value);
                     }
                 }
                 let outcome = match command.output() {
@@ -229,7 +222,7 @@ fn main() {
     } else {
         println!("{failed} experiment(s) failed: {failures:?}");
     }
-    obs.finish();
+    obs.finish(failed > 0);
     if failed > 0 {
         std::process::exit(1);
     }

@@ -4,13 +4,12 @@
 //! structurally (cone spans) and dynamically (observed failing-cell
 //! spans over injected faults).
 
-use scan_bench::ObsSession;
 use scan_netlist::stats::ClusteringStats;
 use scan_netlist::{generate, ScanView};
 use scan_sim::PpsfpSimulator;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("clustering");
+    let (obs, _rest) = scan_bench::start_session("clustering");
     println!("Fault-cone clustering statistics (Fig. 2 premise)");
     println!();
     println!(
@@ -54,5 +53,5 @@ fn main() {
     println!();
     println!("span fraction = mean structural cone span / chain length");
     println!("observed span = mean failing-cell span over 100 faults / chain length");
-    obs.finish();
+    obs.finish(false);
 }

@@ -2,13 +2,13 @@
 //! pattern count, per benchmark — the substrate statistic behind the
 //! "detected faults" sampled by every diagnosis campaign.
 
-use scan_bench::{render_table, ObsSession};
+use scan_bench::render_table;
 use scan_diagnosis::lfsr_patterns;
 use scan_netlist::{generate, ScanView};
 use scan_sim::{FaultUniverse, PpsfpSimulator};
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("coverage");
+    let (obs, _rest) = scan_bench::start_session("coverage");
     let budgets = [16usize, 32, 64, 128, 256];
     println!("Pseudorandom stuck-at coverage (collapsed faults, LFSR PRPG seed 0xACE1)");
     println!();
@@ -40,5 +40,5 @@ fn main() {
         .collect();
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", render_table(&header_refs, &rows));
-    obs.finish();
+    obs.finish(false);
 }

@@ -3,7 +3,7 @@
 //! chain, for random-selection vs two-step partitioning, per failing
 //! core. Fewer partitions means shorter diagnosis time.
 
-use scan_bench::{render_table, table3_spec, ObsSession, PAPER_SCHEMES};
+use scan_bench::{render_table, table3_spec, PAPER_SCHEMES};
 use scan_diagnosis::soc_diag::diagnose_each_core;
 use scan_soc::d695;
 
@@ -11,7 +11,7 @@ const TARGET_DR: f64 = 0.5;
 const MAX_PARTITIONS: usize = 16;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("figure5");
+    let (obs, _rest) = scan_bench::start_session("figure5");
     let mut spec = table3_spec();
     spec.partitions = MAX_PARTITIONS;
     let soc = d695::soc1().expect("SOC 1 builds");
@@ -37,5 +37,5 @@ fn main() {
         "{}",
         render_table(&["failing core", "random-selection", "two-step"], &rows)
     );
-    obs.finish();
+    obs.finish(false);
 }

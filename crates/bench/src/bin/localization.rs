@@ -3,12 +3,12 @@
 //! motivating failure-analysis scenario, quantified as top-1
 //! localization accuracy per scheme.
 
-use scan_bench::{render_table, ObsSession, PAPER_SCHEMES};
+use scan_bench::{render_table, PAPER_SCHEMES};
 use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("localization");
+    let (obs, _rest) = scan_bench::start_session("localization");
     let mut spec = CampaignSpec::new(128, 32, 4);
     spec.num_faults = 200;
     println!(
@@ -40,5 +40,5 @@ fn main() {
     );
     println!();
     println!("accuracy = fraction of faults whose highest candidate-density core is the true faulty core");
-    obs.finish();
+    obs.finish(false);
 }

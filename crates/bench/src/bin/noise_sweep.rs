@@ -15,7 +15,7 @@
 //! cargo run --release -p scan-bench --bin noise_sweep
 //! ```
 
-use scan_bench::{fmt_dr, render_table, table1_spec, ObsSession};
+use scan_bench::{fmt_dr, render_table, table1_spec};
 use scan_bist::Scheme;
 use scan_diagnosis::{NoiseConfig, NoiseModel, PreparedCampaign, RobustPolicy};
 use scan_netlist::generate;
@@ -27,7 +27,7 @@ const FLIP_RATES: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
 const NOISE_SEED: u64 = 2003;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("noise_sweep");
+    let (obs, _rest) = scan_bench::start_session("noise_sweep");
     let spec = table1_spec();
     let circuit = generate::benchmark("s953");
     println!(
@@ -107,5 +107,5 @@ fn main() {
          contradictory candidate set); the robust engine keeps all but the\n\
          `inconclusive` column diagnosable."
     );
-    obs.finish();
+    obs.finish(false);
 }

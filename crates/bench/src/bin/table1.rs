@@ -3,13 +3,13 @@
 //! two-step partitioning. 200 pseudorandom patterns, 4 groups per
 //! partition, 500 injected single stuck-at faults.
 
-use scan_bench::{fmt_dr, render_table, table1_spec, ObsSession};
+use scan_bench::{fmt_dr, render_table, table1_spec};
 use scan_bist::Scheme;
 use scan_diagnosis::PreparedCampaign;
 use scan_netlist::generate;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("table1");
+    let (obs, _rest) = scan_bench::start_session("table1");
     let spec = table1_spec();
     let circuit = generate::benchmark("s953");
     println!(
@@ -53,5 +53,5 @@ fn main() {
             &rows
         )
     );
-    obs.finish();
+    obs.finish(false);
 }

@@ -7,7 +7,7 @@
 //! intersecting failing groups identifies the failing vectors. The
 //! resolution metric mirrors DR with vectors in place of cells.
 
-use scan_bench::{fmt_dr, render_table, ObsSession};
+use scan_bench::{fmt_dr, render_table};
 use scan_bist::Scheme;
 use scan_diagnosis::vector_diag::{actual_failing_vectors, VectorDiagnosisPlan};
 use scan_diagnosis::{lfsr_patterns, ChainLayout, DrAccumulator, ResponseModel};
@@ -15,7 +15,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::PpsfpSimulator;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("vectors");
+    let (obs, _rest) = scan_bench::start_session("vectors");
     println!(
         "Failing-vector identification — 128 patterns, 8 pattern-groups, 4 partitions, 300 faults"
     );
@@ -71,5 +71,5 @@ fn main() {
     println!(
         "vector-DR = (Σ candidate vectors − Σ actual failing vectors) / Σ actual failing vectors"
     );
-    obs.finish();
+    obs.finish(false);
 }

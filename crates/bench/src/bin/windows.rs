@@ -6,7 +6,7 @@
 //! per session), on the same fault evidence as the cell-axis
 //! experiments.
 
-use scan_bench::{render_table, ObsSession};
+use scan_bench::render_table;
 use scan_bist::Scheme;
 use scan_diagnosis::windows::analyze_windows;
 use scan_diagnosis::{lfsr_patterns, BistConfig, ChainLayout, DiagnosisPlan, DrAccumulator};
@@ -14,7 +14,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::PpsfpSimulator;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("windows");
+    let (obs, _rest) = scan_bench::start_session("windows");
     let circuit = generate::benchmark("s5378");
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;
@@ -60,5 +60,5 @@ fn main() {
     println!(
         "window 128 = one final signature (no time information); window 1 = per-pattern snapshots"
     );
-    obs.finish();
+    obs.finish(false);
 }

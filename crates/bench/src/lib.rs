@@ -13,11 +13,8 @@
 use scan_bist::Scheme;
 use scan_diagnosis::CampaignSpec;
 
-pub mod obs;
 pub mod suite;
 pub mod timing;
-
-pub use obs::ObsSession;
 
 /// The schemes compared throughout the paper, in reporting order.
 pub const PAPER_SCHEMES: [Scheme; 2] = [Scheme::RandomSelection, Scheme::TWO_STEP_DEFAULT];
@@ -81,6 +78,63 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Starts the observed run of the experiment binary `binary`: splits
+/// the shared observability flags (see [`scan_obs::ObsConfig::from_args`])
+/// out of the process arguments, starts a [`scan_obs::Session`] —
+/// `trace_<binary>.ndjson` is the default trace file, and the trace
+/// context is adopted from `SCANBIST_TRACE_ID` / `SCANBIST_PARENT_SPAN`
+/// when a parent hands one down — and returns it with the binary's own
+/// arguments in order. With no flags, observability stays off and the
+/// output is byte-identical to an uninstrumented build.
+///
+/// `--help` / `-h` prints the usage text to *stderr* (stdout carries
+/// only the table/figure payload) and exits 0; a value flag without its
+/// value prints the error and the usage text to stderr and exits 2.
+///
+/// # Panics
+///
+/// Panics deliberately when `SCANBIST_CRASH_EXPERIMENT` names this
+/// binary — the fault-injection hook `scripts/verify.sh` uses to
+/// exercise the flight recorder's crash dump path.
+pub fn start_session(binary: &str) -> (scan_obs::Session, Vec<String>) {
+    let usage = format!(
+        "usage: {binary} [ARGS] [--trace] [--trace-out <path>] [--metrics-out <path>]\n\
+         \x20          [--profile] [--profile-out <path>] [--progress]\n\
+         \x20          [--serve-metrics <addr>] [--slo <slo.toml>]\n\
+         \x20          [--flight-recorder <path>]\n\
+         Experiment binary from the scan-BIST workspace. The table/figure payload\n\
+         goes to stdout; diagnostics, progress, and observability summaries go to\n\
+         stderr. --serve-metrics serves live /metrics (Prometheus text),\n\
+         /metrics.json, /alerts.json, and /healthz on <addr> for the run's\n\
+         duration. --slo evaluates alert rules on every sampler tick;\n\
+         --flight-recorder dumps a black-box NDJSON ring on panic or nonzero exit.\n\
+         See EXPERIMENTS.md for the binary's own arguments."
+    );
+    let (config, rest) = match scan_obs::ObsConfig::from_args(binary, std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\n{usage}");
+            std::process::exit(2);
+        }
+    };
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("{usage}");
+        std::process::exit(0);
+    }
+    let session = scan_obs::Session::start(&config, binary);
+    // Fault-injection backdoor for the flight-recorder smoke test:
+    // deliberately undocumented in the usage text. Firing *after*
+    // telemetry is up means the recorder's panic hook is installed
+    // and the ring exists, exactly like a mid-campaign crash.
+    // An injected crash reads clearer as an explicit panic than as
+    // a negated assert.
+    #[allow(clippy::manual_assert)]
+    if std::env::var("SCANBIST_CRASH_EXPERIMENT").as_deref() == Ok(binary) {
+        panic!("injected crash in `{binary}` (SCANBIST_CRASH_EXPERIMENT)");
+    }
+    (session, rest)
 }
 
 /// Formats a DR value the way the paper's tables do.

@@ -1,6 +1,6 @@
 //! Stdout-cleanliness harness for every experiment binary.
 //!
-//! The contract (see `crates/bench/src/obs.rs`): stdout carries the
+//! The contract (see `scan_bench::start_session`): stdout carries the
 //! machine-readable table/figure payload and *nothing else*;
 //! diagnostics, progress, and usage text go to stderr. Running a
 //! binary with `--help` must exit 0 before any campaign work, print
@@ -143,4 +143,22 @@ fn short_help_matches_long_help() {
     assert!(short.status.success(), "{name} -h failed");
     assert_eq!(long.stderr, short.stderr);
     assert!(short.stdout.is_empty());
+}
+
+#[test]
+fn value_flag_without_value_exits_2_before_any_work() {
+    let output = Command::new(env!("CARGO_BIN_EXE_figure3"))
+        .arg("--metrics-out")
+        .output()
+        .expect("spawn");
+    assert_eq!(output.status.code(), Some(2), "figure3 --metrics-out");
+    assert!(
+        output.stdout.is_empty(),
+        "a rejected invocation printed a payload"
+    );
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    assert!(
+        stderr.starts_with("error: flag `--metrics-out` needs a value"),
+        "stderr does not name the flag: {stderr:?}"
+    );
 }

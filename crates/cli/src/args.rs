@@ -227,9 +227,8 @@ pub struct Invocation {
     /// Emit one JSON object instead of human-readable text (supported
     /// by `coverage`, `atpg`, `diagnose`, `noise`, and `soc`).
     pub json: bool,
-    /// Observability settings from the global `--trace` /
-    /// `--trace-out` / `--metrics-out` / `--profile` /
-    /// `--profile-out` / `--progress` flags.
+    /// Observability settings from the shared obs flags (see
+    /// [`scan_obs::ObsConfig::from_args`]).
     pub obs: scan_obs::ObsConfig,
     /// Where diagnosis audit traces (NDJSON, one event per fault) are
     /// written; from the global `--audit-out <path>` flag. Honoured by
@@ -239,11 +238,10 @@ pub struct Invocation {
     pub command: Command,
 }
 
-/// Parses the full argument list including global flags (`--json`,
-/// `--trace`, `--trace-out <path>`, `--metrics-out <path>`,
-/// `--profile`, `--profile-out <path>`, `--audit-out <path>`,
-/// `--progress`, and `--serve-metrics <addr>`, all of which appear
-/// before the subcommand).
+/// Parses the full argument list: the shared observability flags
+/// (anywhere, see [`scan_obs::ObsConfig::from_args`]), then the global
+/// `--json` and `--audit-out <path>` flags, which appear before the
+/// subcommand, then the subcommand itself.
 ///
 /// # Errors
 ///
@@ -252,75 +250,25 @@ pub fn parse_invocation<'a, I>(args: I) -> Result<Invocation, ParseArgsError>
 where
     I: IntoIterator<Item = &'a str>,
 {
-    let mut rest: Vec<&str> = args.into_iter().collect();
+    let (mut obs, rest) = scan_obs::ObsConfig::from_args("scanbist", args)
+        .map_err(|e| ParseArgsError(e.to_string()))?;
+    let mut words = rest.iter().map(String::as_str).peekable();
     let mut json = false;
-    let mut obs = scan_obs::ObsConfig::disabled();
     let mut audit_path = None;
     loop {
-        match rest.first().copied() {
+        match words.peek().copied() {
             Some("--json") => {
+                words.next();
                 json = true;
-                rest.remove(0);
             }
-            Some("--trace") => {
-                obs.trace = true;
-                obs.summary = true;
-                rest.remove(0);
-            }
-            Some("--trace-out") => {
-                rest.remove(0);
-                let path = take_front("--trace-out", &mut rest)?;
-                obs.trace = true;
-                obs.summary = true;
-                obs.trace_path = Some(path.into());
-            }
-            Some("--metrics-out") => {
-                rest.remove(0);
-                let path = take_front("--metrics-out", &mut rest)?;
-                obs.metrics = true;
-                obs.metrics_path = Some(path.into());
-            }
-            Some("--profile") => {
-                obs.profile = true;
-                rest.remove(0);
-            }
-            Some("--profile-out") => {
-                rest.remove(0);
-                let path = take_front("--profile-out", &mut rest)?;
-                obs.profile = true;
-                obs.profile_path = Some(path.into());
-            }
-            Some("--audit-out") => {
-                rest.remove(0);
-                let path = take_front("--audit-out", &mut rest)?;
-                audit_path = Some(path.into());
-            }
-            Some("--progress") => {
-                obs.progress = true;
-                rest.remove(0);
-            }
-            Some("--serve-metrics") => {
-                rest.remove(0);
-                let addr = take_front("--serve-metrics", &mut rest)?;
-                obs.serve_addr = Some(addr);
-            }
-            Some("--slo") => {
-                rest.remove(0);
-                let path = take_front("--slo", &mut rest)?;
-                obs.slo_path = Some(path.into());
-            }
-            Some("--flight-recorder") => {
-                rest.remove(0);
-                let path = take_front("--flight-recorder", &mut rest)?;
-                obs.flight_path = Some(path.into());
+            Some(flag @ "--audit-out") => {
+                words.next();
+                audit_path = Some(take_value(flag, &mut words)?.into());
             }
             _ => break,
         }
     }
-    if obs.trace && obs.trace_path.is_none() {
-        obs.trace_path = Some("trace_scanbist.ndjson".into());
-    }
-    let command = parse_args(rest)?;
+    let command = parse_args(words)?;
     if matches!(command, Command::Serve { .. }) {
         // The daemon serves /metrics and dashboard sparklines from its
         // own listener, which is only useful if counters and the
@@ -334,13 +282,6 @@ where
         audit_path,
         command,
     })
-}
-
-fn take_front(flag: &str, rest: &mut Vec<&str>) -> Result<String, ParseArgsError> {
-    if rest.is_empty() {
-        return Err(ParseArgsError(format!("flag `{flag}` needs a value")));
-    }
-    Ok(rest.remove(0).to_owned())
 }
 
 /// Parses the argument list (without the program name).
@@ -733,7 +674,8 @@ scanbist — partition-based scan-BIST failing-cell diagnosis
 USAGE:
   scanbist [GLOBAL FLAGS] <command> ...
 
-GLOBAL FLAGS (before the command):
+GLOBAL FLAGS (--json and --audit-out before the command; the
+observability flags --trace ... --flight-recorder anywhere):
   --json                emit one JSON object instead of text
   --trace               record spans/metrics; write trace_scanbist.ndjson
                         and print a span-tree summary to stderr
@@ -930,65 +872,38 @@ mod tests {
     }
 
     #[test]
-    fn parses_observability_global_flags() {
+    fn parses_global_flags_around_the_shared_obs_flags() {
         let inv = parse_invocation([
             "--json",
-            "--trace",
-            "--metrics-out",
-            "m.json",
-            "--progress",
-            "stats",
-            "s27",
-        ])
-        .unwrap();
-        assert!(inv.json);
-        assert!(inv.obs.trace && inv.obs.metrics && inv.obs.progress && inv.obs.summary);
-        assert_eq!(
-            inv.obs.trace_path.as_deref(),
-            Some("trace_scanbist.ndjson".as_ref())
-        );
-        assert_eq!(inv.obs.metrics_path.as_deref(), Some("m.json".as_ref()));
-        assert_eq!(
-            inv.command,
-            Command::Stats {
-                circuit: "s27".into()
-            }
-        );
-
-        let inv = parse_invocation(["--trace-out", "t.ndjson", "help"]).unwrap();
-        assert_eq!(inv.obs.trace_path.as_deref(), Some("t.ndjson".as_ref()));
-        assert!(!inv.obs.progress && !inv.json);
-
-        let plain = parse_invocation(["stats", "s27"]).unwrap();
-        assert!(!plain.obs.is_enabled());
-
-        assert!(parse_invocation(["--metrics-out"]).is_err());
-    }
-
-    #[test]
-    fn parses_profile_and_audit_flags() {
-        let inv = parse_invocation(["--profile", "stats", "s27"]).unwrap();
-        assert!(inv.obs.profile && inv.obs.profile_path.is_none());
-        assert!(inv.obs.profiling() && inv.audit_path.is_none());
-
-        let inv = parse_invocation([
-            "--profile-out",
-            "out/p.folded",
             "--audit-out",
             "out/a.ndjson",
             "diagnose",
             "s27",
+            "--trace",
+            "--profile-out",
+            "out/p.folded",
         ])
         .unwrap();
-        assert!(inv.obs.profile);
-        assert_eq!(
-            inv.obs.profile_path.as_deref(),
-            Some("out/p.folded".as_ref())
-        );
+        assert!(inv.json);
         assert_eq!(inv.audit_path.as_deref(), Some("out/a.ndjson".as_ref()));
+        assert!(inv.obs.trace && inv.obs.profile);
+        assert_eq!(
+            inv.obs.trace_path.as_deref(),
+            Some("trace_scanbist.ndjson".as_ref())
+        );
+        assert!(matches!(inv.command, Command::Diagnose { ref circuit, .. } if circuit == "s27"));
 
-        assert!(parse_invocation(["--profile-out"]).is_err());
-        assert!(parse_invocation(["--audit-out"]).is_err());
+        let plain = parse_invocation(["stats", "s27"]).unwrap();
+        assert!(!plain.json && plain.audit_path.is_none() && !plain.obs.is_enabled());
+
+        assert_eq!(
+            parse_invocation(["stats", "s27", "--slo"]).unwrap_err().0,
+            "flag `--slo` needs a value"
+        );
+        assert_eq!(
+            parse_invocation(["--audit-out"]).unwrap_err().0,
+            "flag `--audit-out` needs a value"
+        );
     }
 
     #[test]
@@ -1120,41 +1035,6 @@ mod tests {
         );
         assert!(parse_args(["explain"]).is_err());
         assert!(parse_args(["explain", "a", "b"]).is_err());
-    }
-
-    #[test]
-    fn parses_serve_metrics_flag() {
-        let inv = parse_invocation(["--serve-metrics", "127.0.0.1:0", "stats", "s27"]).unwrap();
-        assert_eq!(inv.obs.serve_addr.as_deref(), Some("127.0.0.1:0"));
-        assert!(inv.obs.sampling() && inv.obs.is_enabled());
-
-        let plain = parse_invocation(["stats", "s27"]).unwrap();
-        assert!(plain.obs.serve_addr.is_none() && !plain.obs.sampling());
-
-        assert!(parse_invocation(["--serve-metrics"]).is_err());
-    }
-
-    #[test]
-    fn parses_slo_and_flight_recorder_flags() {
-        let inv = parse_invocation([
-            "--slo",
-            "slo.toml",
-            "--flight-recorder",
-            "flight.ndjson",
-            "stats",
-            "s27",
-        ])
-        .unwrap();
-        assert_eq!(inv.obs.slo_path.as_deref(), Some("slo.toml".as_ref()));
-        assert_eq!(
-            inv.obs.flight_path.as_deref(),
-            Some("flight.ndjson".as_ref())
-        );
-        // Both imply sampling so the evaluator/ring get ticks.
-        assert!(inv.obs.sampling() && inv.obs.is_enabled());
-
-        assert!(parse_invocation(["--slo"]).is_err());
-        assert!(parse_invocation(["--flight-recorder"]).is_err());
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use scan_obs::json::escape;
+
 /// An ordered JSON object builder producing a single-line object.
 ///
 /// # Examples
@@ -91,39 +93,9 @@ impl JsonObject {
     }
 }
 
-/// Escapes a string for JSON.
-#[must_use]
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("plain"), "\"plain\"");
-        assert_eq!(escape("a\"b"), "\"a\\\"b\"");
-        assert_eq!(escape("a\\b\nc"), "\"a\\\\b\\nc\"");
-        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn numbers_format_cleanly() {

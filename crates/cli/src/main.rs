@@ -5,8 +5,7 @@ use scan_bist_cli::{parse_invocation, run_invocation, HELP};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_refs: Vec<&str> = args.iter().map(String::as_str).collect();
-    let invocation = match parse_invocation(arg_refs.iter().copied()) {
+    let invocation = match parse_invocation(args.iter().map(String::as_str)) {
         Ok(invocation) => invocation,
         Err(e) => {
             eprintln!("error: {e}");
@@ -14,31 +13,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    scan_obs::init(&invocation.obs);
-    if invocation.obs.is_enabled() {
-        scan_obs::context::init_from_env("scanbist");
-    }
-    let telemetry = match scan_obs::start_telemetry(&invocation.obs) {
-        Ok(telemetry) => telemetry,
-        Err(e) => {
-            eprintln!("error: could not start live telemetry: {e}");
-            std::process::exit(2);
-        }
-    };
+    let session = scan_obs::Session::start(&invocation.obs, "scanbist");
     let code = run_invocation(&invocation, &mut std::io::stdout().lock());
-    telemetry.stop();
-    if code != 0 {
-        // Black-box the failure: a nonzero exit dumps the flight ring
-        // (no-op unless --flight-recorder installed one; panics dump
-        // via the recorder's hook before we ever get here).
-        match scan_obs::recorder::dump_on_error() {
-            Ok(Some(path)) => eprintln!("flight recorder: dumped to {}", path.display()),
-            Ok(None) => {}
-            Err(e) => eprintln!("warning: could not write flight-recorder dump: {e}"),
-        }
-    }
-    if let Err(e) = scan_obs::finish(&invocation.obs) {
-        eprintln!("warning: could not write observability exports: {e}");
-    }
+    session.finish(code != 0);
     std::process::exit(code);
 }

@@ -5,7 +5,8 @@
 
 use scan_rng::testkit::Runner;
 
-use scan_bist_cli::json::{escape, JsonObject};
+use scan_bist_cli::json::JsonObject;
+use scan_obs::json::escape;
 use scan_bist_cli::{parse_args, parse_invocation, Command};
 
 /// Arbitrary argument vectors never panic the parser — they parse or

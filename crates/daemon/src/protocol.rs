@@ -44,32 +44,7 @@ use scan_diagnosis::{
 };
 
 use scan_obs::http::HttpError;
-use scan_obs::json::{JsonError, Number, Reader};
-
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    escape_into(&mut out, text);
-    out
-}
-
-/// [`json_escape`], appending to `out`.
-fn escape_into(out: &mut String, text: &str) {
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
+use scan_obs::json::{escape, escape_into, JsonError, Number, Reader};
 
 /// The stable wire shape of a failure: a machine-matchable `code`, the
 /// HTTP status the same condition maps to when it is request-level,
@@ -168,15 +143,12 @@ impl ErrorBody {
     /// Renders the response line: `{"id":…,"status":"error","error":{…}}`.
     #[must_use]
     pub fn render(&self, id: Option<&str>) -> String {
-        let id = match id {
-            Some(id) => format!("\"{}\"", json_escape(id)),
-            None => "null".to_owned(),
-        };
+        let id = id.map_or_else(|| "null".to_owned(), escape);
         format!(
-            "{{\"id\":{id},\"status\":\"error\",\"error\":{{\"code\":\"{}\",\"http\":{},\"message\":\"{}\"}}}}",
+            "{{\"id\":{id},\"status\":\"error\",\"error\":{{\"code\":\"{}\",\"http\":{},\"message\":{}}}}}",
             self.code,
             self.http,
-            json_escape(&self.message)
+            escape(&self.message)
         )
     }
 }

@@ -10,7 +10,8 @@ use std::path::PathBuf;
 #[allow(clippy::struct_excessive_bools)] // independent CLI toggles, not a state machine
 pub struct ObsConfig {
     /// Record hierarchical spans (implies metrics recording, so the
-    /// NDJSON stream carries per-shard worker metrics alongside spans).
+    /// NDJSON stream carries per-shard worker metrics alongside spans)
+    /// and print the span tree to stderr in [`crate::finish`].
     pub trace: bool,
     /// Record counters and histograms.
     pub metrics: bool,
@@ -22,9 +23,6 @@ pub struct ObsConfig {
     /// Where [`crate::finish`] writes the JSON metrics snapshot.
     /// `None` skips the snapshot.
     pub metrics_path: Option<PathBuf>,
-    /// Print the human-readable span tree to stderr in
-    /// [`crate::finish`].
-    pub summary: bool,
     /// Aggregate spans into a self-time profile (implies span
     /// recording) and print the hot-spot table to stderr in
     /// [`crate::finish`].
@@ -39,15 +37,11 @@ pub struct ObsConfig {
     /// to stderr. `None` (the default) starts no server.
     pub serve_addr: Option<String>,
     /// Record in-memory time series of every counter/histogram via the
-    /// background snapshotter, exported as `ts` NDJSON records.
-    /// Implied by [`ObsConfig::serve_addr`].
+    /// background snapshotter (one sample every
+    /// [`crate::timeseries::DEFAULT_INTERVAL_MS`], rings of
+    /// [`crate::timeseries::DEFAULT_CAPACITY`]), exported as `ts` NDJSON
+    /// records. Implied by [`ObsConfig::serve_addr`].
     pub timeseries: bool,
-    /// Snapshotter interval in milliseconds; `0` (the default) selects
-    /// [`crate::timeseries::DEFAULT_INTERVAL_MS`].
-    pub ts_interval_ms: u64,
-    /// Per-series ring capacity; `0` (the default) selects
-    /// [`crate::timeseries::DEFAULT_CAPACITY`].
-    pub ts_capacity: usize,
     /// Path of an `slo.toml` alert-rule file to load and evaluate on
     /// every sampler tick (see [`crate::slo`]). Implies time-series
     /// sampling; `None` (the default) installs no rules.

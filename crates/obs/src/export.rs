@@ -10,29 +10,9 @@ use std::io::Write as _;
 use std::path::Path;
 
 use crate::context::{self, TraceContext};
+use crate::json::escape;
 use crate::registry::{Histogram, Snapshot, SpanStat};
 use crate::timeseries::{self, Sample};
-
-/// Escapes a string for embedding in JSON output.
-pub(crate) fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn join_u64(values: &[u64]) -> String {
     values

@@ -1,5 +1,7 @@
 //! A minimal JSON reader: enough to validate and round-trip the
-//! exporters' output without any external dependency.
+//! exporters' output without any external dependency. The one JSON
+//! string escaper of the workspace, [`escape`] / [`escape_into`], lives
+//! here too.
 //!
 //! Supports the full JSON value grammar (objects, arrays, strings with
 //! escapes, numbers, booleans, null). [`parse`] builds a [`Value`]
@@ -12,6 +14,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted (our exports nest 3 levels).
 const MAX_DEPTH: usize = 64;
@@ -109,6 +112,39 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
     let value = reader.value(0)?;
     reader.finish()?;
     Ok(value)
+}
+
+/// `text` as a quoted JSON string literal.
+#[must_use]
+pub fn escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    out.push('"');
+    escape_into(&mut out, text);
+    out.push('"');
+    out
+}
+
+/// Appends `text` to `out` with JSON string escapes applied and no
+/// surrounding quotes: `"` and `\` are backslash-escaped, newline,
+/// carriage return and tab use their short forms, and every other
+/// control character below U+0020 becomes `\u00XX`. `#[inline]` like
+/// [`Reader`]'s helpers: the daemon calls it from another crate once
+/// per response line.
+#[inline]
+pub fn escape_into(out: &mut String, text: &str) {
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
 }
 
 /// A number token as [`Reader::number`] reads it.
@@ -533,6 +569,21 @@ mod tests {
         let arr = v.get("a").and_then(Value::as_array).unwrap();
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2].get("b"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("plain"), "\"plain\"");
+        assert_eq!(escape("a\"b"), "\"a\\\"b\"");
+        assert_eq!(escape("a\\b\nc"), "\"a\\\\b\\nc\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+        let mut out = String::from("x");
+        escape_into(&mut out, "\r\t\u{1f}é");
+        assert_eq!(out, "x\\r\\t\\u001fé");
+        assert_eq!(
+            parse(&escape("q\"\\\n\u{7}é")).unwrap().as_str(),
+            Some("q\"\\\n\u{7}é")
+        );
     }
 
     #[test]

@@ -51,6 +51,7 @@
 #![allow(clippy::must_use_candidate, clippy::module_name_repetitions)]
 #![allow(clippy::cast_precision_loss)]
 
+mod args;
 mod config;
 pub mod context;
 pub mod export;
@@ -68,6 +69,7 @@ pub mod slo;
 pub mod span;
 pub mod timeseries;
 
+pub use args::ObsArgsError;
 pub use config::ObsConfig;
 pub use context::TraceContext;
 pub use profile::{Profile, ProfileEntry};
@@ -94,7 +96,7 @@ pub fn init(config: &ObsConfig) {
 /// NDJSON event stream to [`ObsConfig::trace_path`], the JSON metrics
 /// snapshot to [`ObsConfig::metrics_path`], the collapsed-stack
 /// profile to [`ObsConfig::profile_path`], the span tree to stderr
-/// when [`ObsConfig::summary`] is set, and the self-time hot-spot
+/// when [`ObsConfig::trace`] is set, and the self-time hot-spot
 /// table to stderr when [`ObsConfig::profile`] is set. Recorded data
 /// is left in place (a later [`snapshot`] still sees it).
 ///
@@ -123,7 +125,7 @@ pub fn finish(config: &ObsConfig) -> std::io::Result<()> {
             eprint!("{}", profile.hotspot_table());
         }
     }
-    if config.summary {
+    if config.trace {
         eprint!("{}", export::tree_summary(&snapshot));
     }
     Ok(())
@@ -142,26 +144,72 @@ pub fn reset() {
     recorder::clear();
 }
 
-/// The live-telemetry runtime of one session: the background
-/// time-series [`timeseries::Sampler`] and the
-/// [`serve::MetricsServer`], both optional per [`ObsConfig`]. Obtain
-/// one from [`start_telemetry`] right after [`init`]; call
-/// [`Telemetry::stop`] before [`finish`] so the final export sees the
-/// folded server-thread metrics and a complete series.
-#[derive(Default)]
-pub struct Telemetry {
+/// One observed run of a front end — `scanbist` or an experiment
+/// binary — from [`Session::start`] to [`Session::finish`]. It owns the
+/// live telemetry: the background time-series [`timeseries::Sampler`]
+/// and the [`serve::MetricsServer`], both optional per [`ObsConfig`].
+#[must_use = "call finish() so exports are written"]
+pub struct Session {
+    config: ObsConfig,
     sampler: Option<timeseries::Sampler>,
     server: Option<serve::MetricsServer>,
 }
 
-impl Telemetry {
-    /// The metrics endpoint's bound address, when one is serving.
-    #[must_use]
-    pub fn addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(serve::MetricsServer::addr)
+impl Session {
+    /// Installs `config` with [`init`], adopts or creates the
+    /// cross-process trace context for `process` when anything is
+    /// enabled (see [`context::init_from_env`]), and starts whatever
+    /// live telemetry `config` asks for: SLO alert rules loaded from
+    /// [`ObsConfig::slo_path`], the black-box flight recorder at
+    /// [`ObsConfig::flight_path`] (with its process-wide panic hook),
+    /// the background snapshotter when [`ObsConfig::sampling`], and the
+    /// `/metrics` endpoint when [`ObsConfig::serve_addr`] is set.
+    ///
+    /// A telemetry start failure — the endpoint cannot bind, or the
+    /// `slo.toml` cannot be read or parsed — is printed to stderr and
+    /// exits the process with status 2 before any work happens.
+    pub fn start(config: &ObsConfig, process: &str) -> Session {
+        init(config);
+        if config.is_enabled() {
+            context::init_from_env(process);
+        }
+        let mut session = Session {
+            config: config.clone(),
+            sampler: None,
+            server: None,
+        };
+        if let Err(e) = session.start_telemetry() {
+            eprintln!("error: could not start live telemetry: {e}");
+            std::process::exit(2);
+        }
+        session
     }
 
-    /// Stops the endpoint and the sampler (taking one final sample).
+    fn start_telemetry(&mut self) -> std::io::Result<()> {
+        if let Some(path) = &self.config.slo_path {
+            slo::install(slo::SloConfig::load(path)?);
+        }
+        if let Some(path) = &self.config.flight_path {
+            recorder::install(path, 0);
+        }
+        if self.config.sampling() {
+            let store = std::sync::Arc::new(timeseries::TimeSeriesStore::new(
+                timeseries::DEFAULT_CAPACITY,
+            ));
+            timeseries::set_active(std::sync::Arc::clone(&store));
+            self.sampler = Some(timeseries::Sampler::start(store));
+        }
+        if let Some(addr) = &self.config.serve_addr {
+            self.server = Some(serve::MetricsServer::start(addr)?);
+        }
+        Ok(())
+    }
+
+    /// Stops the endpoint and the sampler (taking one final sample),
+    /// dumps the flight-recorder ring when `failed` (a nonzero exit;
+    /// panics dump through the recorder's hook instead), then writes
+    /// the exports [`finish`] describes. Failures are reported on
+    /// stderr and never change the run's outcome.
     ///
     /// Honors the `SCANBIST_SLO_LINGER_MS` ops/test hook first: when
     /// the variable holds a millisecond count and a sampler is
@@ -171,7 +219,7 @@ impl Telemetry {
     /// drains after the last burst of work — are observed instead of
     /// cut off. `scripts/verify.sh` uses it to pin an exact
     /// fire/resolve alert pair; production runs leave it unset.
-    pub fn stop(self) {
+    pub fn finish(self, failed: bool) {
         if self.sampler.is_some() {
             if let Some(ms) = std::env::var("SCANBIST_SLO_LINGER_MS")
                 .ok()
@@ -186,35 +234,15 @@ impl Telemetry {
         if let Some(sampler) = self.sampler {
             sampler.stop();
         }
+        if failed {
+            match recorder::dump_on_error() {
+                Ok(Some(path)) => eprintln!("flight recorder: dumped to {}", path.display()),
+                Ok(None) => {}
+                Err(e) => eprintln!("warning: could not write flight-recorder dump: {e}"),
+            }
+        }
+        if let Err(e) = finish(&self.config) {
+            eprintln!("warning: could not write observability exports: {e}");
+        }
     }
-}
-
-/// Starts whatever live telemetry `config` asks for: SLO alert rules
-/// loaded from [`ObsConfig::slo_path`], the black-box flight recorder
-/// at [`ObsConfig::flight_path`] (with its process-wide panic hook),
-/// the background snapshotter when [`ObsConfig::sampling`], and the
-/// `/metrics` endpoint when [`ObsConfig::serve_addr`] is set. Returns
-/// an inert [`Telemetry`] when none is requested. Call after [`init`].
-///
-/// # Errors
-///
-/// Propagates the endpoint bind failure and `slo.toml` read/parse
-/// failures (the offending path is in the message).
-pub fn start_telemetry(config: &ObsConfig) -> std::io::Result<Telemetry> {
-    let mut telemetry = Telemetry::default();
-    if let Some(path) = &config.slo_path {
-        slo::install(slo::SloConfig::load(path)?);
-    }
-    if let Some(path) = &config.flight_path {
-        recorder::install(path, 0);
-    }
-    if config.sampling() {
-        let store = std::sync::Arc::new(timeseries::TimeSeriesStore::new(config.ts_capacity));
-        timeseries::set_active(std::sync::Arc::clone(&store));
-        telemetry.sampler = Some(timeseries::Sampler::start(store, config.ts_interval_ms));
-    }
-    if let Some(addr) = &config.serve_addr {
-        telemetry.server = Some(serve::MetricsServer::start(addr)?);
-    }
-    Ok(telemetry)
 }

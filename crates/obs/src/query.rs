@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::export::escape;
+use crate::json::escape;
 use crate::json::{self, Value};
 use crate::slo::fmt_num;
 

@@ -14,10 +14,11 @@
 //!
 //! Two paths write the black box:
 //!
-//! * a **panic hook** (installed by [`crate::start_telemetry`],
+//! * a **panic hook** (installed by [`crate::Session::start`],
 //!   chaining the previous hook) dumps on any panic, so even an
 //!   aborting worker leaves a post-mortem artifact;
-//! * an explicit [`dump_on_error`] call on a non-panicking error exit.
+//! * an explicit [`dump_on_error`] call on a non-panicking error exit
+//!   ([`crate::Session::finish`] makes it when the run failed).
 //!
 //! A dump is two files: a versioned NDJSON stream at the configured
 //! path — a `{"type":"flight"}` header, the ring events (`span`,
@@ -37,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::export::escape;
+use crate::json::escape;
 use crate::registry::Snapshot;
 use crate::slo::AlertTransition;
 

@@ -263,8 +263,8 @@ pub fn alerts_json(alerts: &[crate::slo::AlertStatus]) -> String {
         let _ = write!(
             out,
             "{{\"rule\":{},\"series\":{},\"state\":{},\"value\":{},\"threshold\":{},\"since_ns\":{}}}",
-            crate::export::escape(&a.rule),
-            crate::export::escape(&a.series),
+            crate::json::escape(&a.rule),
+            crate::json::escape(&a.series),
             if a.firing { "\"firing\"" } else { "\"ok\"" },
             crate::slo::fmt_num(a.value),
             crate::slo::fmt_num(a.threshold),

@@ -368,8 +368,8 @@ impl AlertTransition {
     pub fn ndjson_line(&self) -> String {
         format!(
             "{{\"type\":\"alert\",\"rule\":{},\"series\":{},\"state\":{},\"value\":{},\"threshold\":{},\"at_ns\":{}}}",
-            crate::export::escape(&self.rule),
-            crate::export::escape(&self.series),
+            crate::json::escape(&self.rule),
+            crate::json::escape(&self.series),
             if self.firing { "\"firing\"" } else { "\"resolved\"" },
             fmt_num(self.value),
             fmt_num(self.threshold),
@@ -521,7 +521,7 @@ fn decide(kind: &RuleKind, samples: &[Sample], firing: bool) -> (f64, f64, bool)
 }
 
 // ---- the process-wide active evaluator (installed by
-// ---- `start_telemetry` when the config names an slo.toml, driven by
+// ---- `Session::start` when the config names an slo.toml, driven by
 // ---- the sampler tick) ----
 
 struct Active {

@@ -33,9 +33,9 @@ use std::time::Duration;
 
 use crate::registry::{self, Histogram, Snapshot};
 
-/// Default sampler interval when the config leaves it zero.
+/// The sampler interval.
 pub const DEFAULT_INTERVAL_MS: u64 = 50;
-/// Default per-series ring capacity when the config leaves it zero.
+/// The per-series ring capacity of a session's store.
 pub const DEFAULT_CAPACITY: usize = 240;
 
 /// One sampled point: monotonic offset from the obs epoch, value.
@@ -116,17 +116,12 @@ pub struct TimeSeriesStore {
 }
 
 impl TimeSeriesStore {
-    /// A store whose rings hold `capacity` samples each (0 selects
-    /// [`DEFAULT_CAPACITY`]).
+    /// A store whose rings hold `capacity` samples each.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         TimeSeriesStore {
             inner: Mutex::new(BTreeMap::new()),
-            capacity: if capacity == 0 {
-                DEFAULT_CAPACITY
-            } else {
-                capacity
-            },
+            capacity,
         }
     }
 
@@ -284,7 +279,7 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Starts the sampler thread. `interval_ms == 0` selects
+    /// Starts the sampler thread, sampling every
     /// [`DEFAULT_INTERVAL_MS`]. Takes an immediate first sample so even
     /// sessions shorter than one interval record a point. If the OS
     /// refuses to spawn the thread the sampler degrades to a synchronous
@@ -292,12 +287,8 @@ impl Sampler {
     /// logs the failure to stderr — observability must never take the
     /// host process down (lint L010).
     #[must_use]
-    pub fn start(store: Arc<TimeSeriesStore>, interval_ms: u64) -> Sampler {
-        let interval = Duration::from_millis(if interval_ms == 0 {
-            DEFAULT_INTERVAL_MS
-        } else {
-            interval_ms
-        });
+    pub fn start(store: Arc<TimeSeriesStore>) -> Sampler {
+        let interval = Duration::from_millis(DEFAULT_INTERVAL_MS);
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let thread_stop = Arc::clone(&stop);
         let thread_store = Arc::clone(&store);

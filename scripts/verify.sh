@@ -139,8 +139,11 @@ rm -f "$SMOKE_DIR"/join/trace_*.ndjson
 mkdir -p "$SMOKE_DIR/join"
 ./target/release/all_experiments \
     --trace-out "$SMOKE_DIR/join/trace_all_experiments.ndjson" \
-    --only table1,table2 "$SMOKE_DIR/join" \
+    --only table1,table2,figure3 "$SMOKE_DIR/join" \
     > /dev/null 2>> "$SMOKE_DIR/summary.txt"
+[ -f "$SMOKE_DIR/join/trace_figure3.ndjson" ] || {
+    echo "trace-join smoke: the orchestrator did not forward --trace-out to figure3"; exit 1;
+}
 ./target/release/obs-check --join "$SMOKE_DIR"/join/trace_*.ndjson
 
 echo "==> SLO alert smoke (tight burn-rate rule: exactly one fire/resolve pair)"
@@ -182,6 +185,9 @@ if SCANBIST_CRASH_EXPERIMENT=table1 ./target/release/all_experiments \
 fi
 [ -f "$SMOKE_DIR/crash/flight_table1.ndjson" ] || {
     echo "crash smoke left no flight dump for the panicked child"; exit 1;
+}
+[ -f "$SMOKE_DIR/crash/flight_all_experiments.ndjson" ] || {
+    echo "crash smoke: the orchestrator exited nonzero without dumping its flight ring"; exit 1;
 }
 grep -q '"type":"flight".*"reason":"panic"' "$SMOKE_DIR/crash/flight_table1.ndjson" || {
     echo "flight dump is missing its panic header record"; exit 1;
