@@ -9,10 +9,13 @@
 //! `to_bench_string()` for every published profile at the benchmark
 //! seed, and for every profile of at most 3 000 gates at seeds 0–3, so
 //! any change to the generator's output (or its draw order) fails here
-//! first.
+//! first. A third table pins configurations with a tiny locality window
+//! and wide fan-in, which force the picker to widen its window on most
+//! picks, a path the default configuration rarely takes.
 
 use scan_netlist::generate::{
-    generate, CircuitProfile, DEFAULT_BENCHMARK_SEED, ISCAS85_PROFILES, ISCAS89_PROFILES,
+    generate, generate_with, profile, CircuitProfile, GeneratorConfig, DEFAULT_BENCHMARK_SEED,
+    ISCAS85_PROFILES, ISCAS89_PROFILES,
 };
 
 /// Profiles up to this many gates are also pinned at [`SMALL_SEEDS`].
@@ -31,6 +34,18 @@ fn fnv1a(text: &str) -> u64 {
 
 fn digest(profile: &CircuitProfile, seed: u64) -> u64 {
     fnv1a(&generate(profile, seed).to_bench_string())
+}
+
+/// Configurations whose `1e-4` locality window is nearly always empty,
+/// so most picks widen the window, and whose fan-in reaches 5: one flat
+/// cloud and one twelve layers deep.
+fn widening_configs() -> [GeneratorConfig; 2] {
+    [1, 12].map(|levels| GeneratorConfig {
+        locality: 1e-4,
+        levels,
+        max_fanin: 5,
+        ..GeneratorConfig::default()
+    })
 }
 
 fn all_profiles() -> impl Iterator<Item = &'static CircuitProfile> {
@@ -73,6 +88,21 @@ fn small_profiles_are_pinned_at_seeds_0_to_3() {
                 *want,
                 "{} netlist moved at seed {seed}",
                 profile.name
+            );
+        }
+    }
+}
+
+#[test]
+fn widening_configs_are_pinned() {
+    for (name, seed, expected) in PINS_WIDENING {
+        let p = profile(name).expect("known profile");
+        for (config, want) in widening_configs().iter().zip(expected) {
+            assert_eq!(
+                fnv1a(&generate_with(p, *seed, config).to_bench_string()),
+                *want,
+                "{name} netlist moved at seed {seed}, levels {}",
+                config.levels
             );
         }
     }
@@ -154,4 +184,16 @@ const PINS_SMALL_SEEDS: &[(&str, [u64; 4])] = &[
     ("c3540", [0x7b844730eff90eee, 0x4e0fb092fbdf3153, 0xf0c13e7c7e2560c3, 0x6f43ddd8280256cc]),
     ("c5315", [0x98aad75d2aa64a93, 0x099ff97c8979a048, 0x544ce12956f2c201, 0xb960ae7034c3d6ca]),
     ("c6288", [0x54067240cc3a1bdd, 0x719fe60303befc05, 0x85d59f66656ce359, 0x1f8ce5465f69fab3]),
+];
+
+/// FNV-1a of `to_bench_string()` under each of [`widening_configs`], as
+/// `(profile, seed, [levels 1, levels 12])`.
+#[rustfmt::skip]
+const PINS_WIDENING: &[(&str, u64, [u64; 2])] = &[
+    ("s298", 0, [0xc27868c3779c3e5c, 0x2532b540f473e0cc]),
+    ("s953", 1, [0xe27158bc6e734344, 0xe542f81376c98861]),
+    ("s1423", 2, [0x82af2c62830bf40e, 0x4059b8aafdfe38d8]),
+    ("s5378", DEFAULT_BENCHMARK_SEED, [0xba6bc67b982e8582, 0xee6db04b7665aa00]),
+    ("c880", 3, [0x70a88bb228d078d0, 0xeb54dbbe9b8eda47]),
+    ("c6288", DEFAULT_BENCHMARK_SEED, [0x80361b0db195ca5a, 0xdfb7171c83dded33]),
 ];
