@@ -15,7 +15,7 @@ use scan_sim::PpsfpSimulator;
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("ablation_chain_mask");
+    let obs = scan_bench::start_session("ablation_chain_mask");
     let spec = table4_spec();
     let soc = d695::soc2().expect("SOC 2 builds");
     println!(

@@ -13,7 +13,7 @@ use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_netlist::generate;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("ablation_interval_count");
+    let obs = scan_bench::start_session("ablation_interval_count");
     let circuit = generate::benchmark("s953");
     let mut spec = CampaignSpec::new(200, 4, 8);
     spec.num_faults = 300;

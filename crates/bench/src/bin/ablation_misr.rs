@@ -13,7 +13,7 @@ use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_netlist::generate;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("ablation_misr");
+    let obs = scan_bench::start_session("ablation_misr");
     let circuit = generate::benchmark("s5378");
     println!("Ablation — MISR width on s5378, two-step, 8 groups, 4 partitions, 300 faults");
     println!();

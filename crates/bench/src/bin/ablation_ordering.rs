@@ -13,7 +13,7 @@ use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_netlist::{generate, ScanOrdering};
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("ablation_ordering");
+    let obs = scan_bench::start_session("ablation_ordering");
     let mut spec = CampaignSpec::new(128, 8, 4);
     spec.num_faults = 300;
     println!(

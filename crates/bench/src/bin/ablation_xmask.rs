@@ -11,7 +11,7 @@ use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_netlist::generate;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("ablation_xmask");
+    let obs = scan_bench::start_session("ablation_xmask");
     let circuit = generate::benchmark("s5378");
     println!("Ablation — X-masked cell fraction on s5378, 8 groups, 8 partitions, 300 faults");
     println!();

@@ -18,7 +18,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::PpsfpSimulator;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("adaptive_compare");
+    let obs = scan_bench::start_session("adaptive_compare");
     let circuit = generate::benchmark("s5378");
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;

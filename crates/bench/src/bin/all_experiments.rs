@@ -69,7 +69,7 @@ enum Outcome {
 }
 
 fn main() {
-    let (obs, rest) = scan_bench::start_session("all_experiments");
+    let (obs, rest) = scan_bench::start_session_with_args("all_experiments");
     let forward_trace = scan_obs::registry::trace_enabled();
     let forward_metrics = scan_obs::registry::metrics_enabled();
     let forward_progress = scan_obs::registry::progress_enabled();

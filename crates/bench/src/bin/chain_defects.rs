@@ -16,7 +16,7 @@ use scan_sim::chain_fault::flush_observation;
 use scan_sim::{locate_chain_fault, simulate_chain_fault, ChainFault, PpsfpSimulator};
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("chain_defects");
+    let obs = scan_bench::start_session("chain_defects");
     let circuit = generate::benchmark("s953");
     let view = ScanView::natural(&circuit, true);
     let patterns = lfsr_patterns(&circuit, 128, 0xACE1);

@@ -9,7 +9,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::PpsfpSimulator;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("clustering");
+    let obs = scan_bench::start_session("clustering");
     println!("Fault-cone clustering statistics (Fig. 2 premise)");
     println!();
     println!(

@@ -16,7 +16,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::FaultSimulator;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("compactors");
+    let obs = scan_bench::start_session("compactors");
     let circuit = generate::benchmark("s953");
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;

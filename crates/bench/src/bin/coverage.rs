@@ -8,7 +8,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::{FaultUniverse, PpsfpSimulator};
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("coverage");
+    let obs = scan_bench::start_session("coverage");
     let budgets = [16usize, 32, 64, 128, 256];
     println!("Pseudorandom stuck-at coverage (collapsed faults, LFSR PRPG seed 0xACE1)");
     println!();

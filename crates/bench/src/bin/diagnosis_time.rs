@@ -8,7 +8,7 @@ use scan_diagnosis::soc_diag::diagnose_each_core;
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("diagnosis_time");
+    let obs = scan_bench::start_session("diagnosis_time");
     let mut spec = table3_spec();
     spec.partitions = 16;
     let soc = d695::soc1().expect("SOC 1 builds");

@@ -12,7 +12,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::{ErrorMap, PpsfpSimulator};
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("figure3");
+    let obs = scan_bench::start_session("figure3");
     let circuit = generate::benchmark("s953");
     let view = ScanView::natural(&circuit, true);
     let patterns = scan_diagnosis::lfsr_patterns(&circuit, 200, 0xACE1);

@@ -11,7 +11,7 @@ const TARGET_DR: f64 = 0.5;
 const MAX_PARTITIONS: usize = 16;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("figure5");
+    let obs = scan_bench::start_session("figure5");
     let mut spec = table3_spec();
     spec.partitions = MAX_PARTITIONS;
     let soc = d695::soc1().expect("SOC 1 builds");

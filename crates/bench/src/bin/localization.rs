@@ -8,7 +8,7 @@ use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("localization");
+    let obs = scan_bench::start_session("localization");
     let mut spec = CampaignSpec::new(128, 32, 4);
     spec.num_faults = 200;
     println!(

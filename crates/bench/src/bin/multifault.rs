@@ -12,7 +12,7 @@ use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_netlist::generate;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("multifault");
+    let obs = scan_bench::start_session("multifault");
     let circuit = generate::benchmark("s5378");
     let mut spec = CampaignSpec::new(128, 8, 8);
     spec.num_faults = 250;

@@ -27,7 +27,7 @@ const FLIP_RATES: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
 const NOISE_SEED: u64 = 2003;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("noise_sweep");
+    let obs = scan_bench::start_session("noise_sweep");
     let spec = table1_spec();
     let circuit = generate::benchmark("s953");
     println!(

@@ -10,7 +10,7 @@ use scan_bist::overhead::{
 use scan_bist::seed::length_bits;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("overhead");
+    let obs = scan_bench::start_session("overhead");
     println!("Selection hardware cost (Fig. 1 block diagram, gate-equivalent estimates)");
     println!();
     let configs = [

@@ -9,7 +9,7 @@ use scan_diagnosis::PreparedCampaign;
 use scan_netlist::generate;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("table1");
+    let obs = scan_bench::start_session("table1");
     let spec = table1_spec();
     let circuit = generate::benchmark("s953");
     println!(

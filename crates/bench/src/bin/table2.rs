@@ -9,7 +9,7 @@ use scan_diagnosis::PreparedCampaign;
 use scan_netlist::generate::{self, SIX_LARGEST};
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("table2");
+    let obs = scan_bench::start_session("table2");
     let spec = table2_spec();
     println!(
         "Table 2 — six largest ISCAS-89, {} patterns, {} groups, {} partitions, {} faults",

@@ -9,7 +9,7 @@ use scan_diagnosis::soc_diag::diagnose_each_core;
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("table3");
+    let obs = scan_bench::start_session("table3");
     let spec = table3_spec();
     let soc = d695::soc1().expect("SOC 1 builds");
     println!(

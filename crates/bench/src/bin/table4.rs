@@ -11,7 +11,7 @@ use scan_netlist::generate::SIX_LARGEST;
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("table4");
+    let obs = scan_bench::start_session("table4");
     let spec = table4_spec();
     let soc = d695::soc2().expect("SOC 2 builds");
     println!(

@@ -14,7 +14,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::{FaultUniverse, PpsfpSimulator};
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("topoff");
+    let obs = scan_bench::start_session("topoff");
     println!("Pseudorandom vs deterministic pattern sources (collapsed stuck-at faults)");
     println!();
     let mut rows = Vec::new();

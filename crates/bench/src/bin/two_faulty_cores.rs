@@ -13,7 +13,7 @@ use scan_sim::PpsfpSimulator;
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("two_faulty_cores");
+    let obs = scan_bench::start_session("two_faulty_cores");
     let soc = d695::soc1().expect("SOC 1 builds");
     let num_patterns = 128usize;
     let groups = 32u16;

@@ -15,7 +15,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::PpsfpSimulator;
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("vectors");
+    let obs = scan_bench::start_session("vectors");
     println!(
         "Failing-vector identification — 128 patterns, 8 pattern-groups, 4 partitions, 300 faults"
     );

@@ -14,7 +14,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::{FaultUniverse, PatternSet, PpsfpSimulator};
 
 fn main() {
-    let (obs, _rest) = scan_bench::start_session("weighted");
+    let obs = scan_bench::start_session("weighted");
     println!(
         "Uniform vs weighted pseudo-random coverage (collapsed stuck-at faults, 128 patterns)"
     );

@@ -80,6 +80,19 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Starts the observed run of the experiment binary `binary`, which
+/// takes no arguments of its own: any argument left after the shared
+/// observability flags prints an error and the usage text to stderr and
+/// exits 2, so a misspelt flag never runs silently.
+/// See [`start_session_with_args`] for the rest of the contract.
+///
+/// # Panics
+///
+/// As [`start_session_with_args`].
+pub fn start_session(binary: &str) -> scan_obs::Session {
+    start(binary, false).0
+}
+
 /// Starts the observed run of the experiment binary `binary`: splits
 /// the shared observability flags (see [`scan_obs::ObsConfig::from_args`])
 /// out of the process arguments, starts a [`scan_obs::Session`] —
@@ -98,9 +111,14 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Panics deliberately when `SCANBIST_CRASH_EXPERIMENT` names this
 /// binary — the fault-injection hook `scripts/verify.sh` uses to
 /// exercise the flight recorder's crash dump path.
-pub fn start_session(binary: &str) -> (scan_obs::Session, Vec<String>) {
+pub fn start_session_with_args(binary: &str) -> (scan_obs::Session, Vec<String>) {
+    start(binary, true)
+}
+
+fn start(binary: &str, own_args: bool) -> (scan_obs::Session, Vec<String>) {
+    let args = if own_args { " [ARGS]" } else { "" };
     let usage = format!(
-        "usage: {binary} [ARGS] [--trace] [--trace-out <path>] [--metrics-out <path>]\n\
+        "usage: {binary}{args} [--trace] [--trace-out <path>] [--metrics-out <path>]\n\
          \x20          [--profile] [--profile-out <path>] [--progress]\n\
          \x20          [--serve-metrics <addr>] [--slo <slo.toml>]\n\
          \x20          [--flight-recorder <path>]\n\
@@ -122,6 +140,10 @@ pub fn start_session(binary: &str) -> (scan_obs::Session, Vec<String>) {
     if rest.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("{usage}");
         std::process::exit(0);
+    }
+    if let (false, Some(arg)) = (own_args, rest.first()) {
+        eprintln!("error: unexpected argument `{arg}`\n{usage}");
+        std::process::exit(2);
     }
     let session = scan_obs::Session::start(&config, binary);
     // Fault-injection backdoor for the flight-recorder smoke test:

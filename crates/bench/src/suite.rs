@@ -2,8 +2,9 @@
 //! workspace's hot paths, robust summary statistics, and versioned
 //! baseline files with regression comparison.
 //!
-//! Eight kernels cover the pipeline end to end — campaign fault
-//! simulation (bit-parallel by default), the raw PPSFP error-map sweep
+//! Nine kernels cover the pipeline end to end — circuit generation
+//! (`netlist_generate`), campaign fault simulation (bit-parallel by
+//! default), the raw PPSFP error-map sweep
 //! (`fault_sim_bitpar`), MISR compaction of that sweep's error maps
 //! into session signatures (`misr_compaction`, the production
 //! `analyze_packed`), interval and random-selection partition generation,
@@ -428,6 +429,12 @@ pub fn run_suite(
         kernels.insert(name.to_owned(), stats);
     };
 
+    let generated = if config.quick { "s298" } else { "s5378" };
+    let samples = time_kernel(config.warmup, config.repeats, || {
+        generate::benchmark(generated)
+    });
+    record("netlist_generate", &mut kernels, samples, &mut on_kernel);
+
     let samples = time_kernel(config.warmup, config.repeats, || {
         PreparedCampaign::from_circuit(&netlist, &spec).expect("embedded benchmark prepares")
     });
@@ -656,7 +663,8 @@ mod tests {
         };
         let mut seen = Vec::new();
         let result = run_suite(&config, |name, _| seen.push(name.to_owned()));
-        assert_eq!(result.kernels.len(), 8);
+        assert_eq!(result.kernels.len(), 9);
+        assert!(seen.contains(&"netlist_generate".to_owned()));
         assert!(seen.contains(&"diagnosis_serial".to_owned()));
         assert!(seen.contains(&"fault_sim_bitpar".to_owned()));
         assert!(seen.contains(&"misr_compaction".to_owned()));

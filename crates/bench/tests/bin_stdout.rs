@@ -6,7 +6,8 @@
 //! binary with `--help` must exit 0 before any campaign work, print
 //! the shared usage text to stderr, and leave stdout empty — which is
 //! the degenerate "parses cleanly" payload. A binary that ever prints
-//! banners or diagnostics to stdout fails here.
+//! banners or diagnostics to stdout fails here. A bad flag or an
+//! argument the binary does not take exits 2, also before any work.
 
 use std::process::Command;
 
@@ -160,5 +161,33 @@ fn value_flag_without_value_exits_2_before_any_work() {
     assert!(
         stderr.starts_with("error: flag `--metrics-out` needs a value"),
         "stderr does not name the flag: {stderr:?}"
+    );
+}
+
+#[test]
+fn unknown_argument_exits_2_and_plain_run_is_unchanged() {
+    let exe = env!("CARGO_BIN_EXE_overhead");
+    let output = Command::new(exe)
+        .arg("--bogus-flag")
+        .output()
+        .expect("spawn");
+    assert_eq!(output.status.code(), Some(2), "overhead --bogus-flag");
+    assert!(
+        output.stdout.is_empty(),
+        "a rejected invocation printed a payload"
+    );
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    assert!(
+        stderr.starts_with("error: unexpected argument `--bogus-flag`\nusage: overhead"),
+        "stderr does not name the argument: {stderr:?}"
+    );
+
+    let plain = Command::new(exe).output().expect("spawn");
+    assert!(plain.status.success(), "plain overhead failed");
+    let stdout = String::from_utf8(plain.stdout).expect("stdout is UTF-8");
+    assert_eq!(
+        stdout,
+        include_str!("../../../results/overhead.txt"),
+        "overhead stdout moved from results/overhead.txt"
     );
 }

@@ -1115,7 +1115,7 @@ mod tests {
         let document = std::fs::read_to_string(&out_path).expect("bench output written");
         let parsed = scan_bench::suite::SuiteResult::from_json(&document).unwrap();
         assert_eq!(parsed.suite, "smoke");
-        assert_eq!(parsed.kernels.len(), 8);
+        assert_eq!(parsed.kernels.len(), 9);
 
         // The file it just wrote is its own fixed point under compare.
         let (code, text) = run_to_string(&["bench", "--compare", &out_str, "--baseline", &out_str]);

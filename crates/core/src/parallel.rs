@@ -70,9 +70,10 @@ where
     } else {
         let chunk = cases.div_ceil(threads);
         std::thread::scope(|scope| {
+            let mut workers = Vec::with_capacity(threads);
             for (w, shard) in slots.chunks_mut(chunk).enumerate() {
                 let work = &work;
-                scope.spawn(move || {
+                workers.push(scope.spawn(move || {
                     {
                         let _span = scan_obs::span!("worker");
                         let base = w * chunk;
@@ -91,7 +92,18 @@ where
                     // merge may run after the scope unblocks, racing a
                     // snapshot taken by the parent thread.
                     scan_obs::flush_thread();
-                });
+                }));
+            }
+            // Join each worker explicitly: unlike the scope's implicit
+            // wait, `join` returns only once the OS thread has exited
+            // and handed its malloc arena back, so the next campaign's
+            // workers reuse that arena rather than racing a thread still
+            // in teardown and creating one more (each adds megabytes of
+            // resident memory for the rest of the process).
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
     }

@@ -54,34 +54,45 @@ impl ReadMarks {
         }
     }
 
-    /// Number of `pool` members in `[0, slot)`.
-    fn rank(&self, slot: usize, pool: Pool) -> usize {
+    /// Number of read slots in `[0, slot)`.
+    fn read_before(&self, slot: usize) -> usize {
         let mut read = 0;
         let mut i = slot;
         while i > 0 {
             read += self.tree[i];
             i &= i - 1;
         }
+        read
+    }
+
+    /// Number of `pool` members in `[0, slot)`.
+    fn rank(&self, slot: usize, pool: Pool) -> usize {
+        let read = self.read_before(slot);
         match pool {
             Pool::Read => read,
             Pool::Unread => slot - read,
         }
     }
 
-    /// Number of `pool` members in `[lo, hi)` that are not in
-    /// `excluded` (distinct slots; any outside the range are ignored).
-    pub(crate) fn count(
+    /// Sizes of both pools in `[lo, hi)`, as `(unread, read)`, leaving
+    /// out the slots in `excluded` (distinct slots; any outside the
+    /// range are ignored). Two prefix walks serve both pools.
+    pub(crate) fn counts(
         &self,
         lo: usize,
         hi: usize,
-        pool: Pool,
-        excluded: &(impl Iterator<Item = usize> + Clone),
-    ) -> usize {
-        let skipped = excluded
-            .clone()
-            .filter(|&e| lo <= e && e < hi && self.in_pool(e, pool))
-            .count();
-        self.rank(hi, pool) - self.rank(lo, pool) - skipped
+        excluded: impl Iterator<Item = usize>,
+    ) -> (usize, usize) {
+        let mut read = self.read_before(hi) - self.read_before(lo);
+        let mut unread = hi - lo - read;
+        for e in excluded.filter(|&e| lo <= e && e < hi) {
+            if self.read[e] {
+                read -= 1;
+            } else {
+                unread -= 1;
+            }
+        }
+        (unread, read)
     }
 
     /// The slot of the `k`-th (0-based) `pool` member at or after `lo`
@@ -185,9 +196,15 @@ mod tests {
                 assert_eq!(tree.in_pool(slot, Pool::Read), was_read);
             }
 
-            let oracle = scan_pool(&read, lo, hi, pool, &excluded);
-            let count = tree.count(lo, hi, pool, &excluded.iter().copied());
-            assert_eq!(count, oracle.len(), "pool size");
+            let counts = tree.counts(lo, hi, excluded.iter().copied());
+            let unread = scan_pool(&read, lo, hi, Pool::Unread, &excluded);
+            let read_pool = scan_pool(&read, lo, hi, Pool::Read, &excluded);
+            assert_eq!(counts, (unread.len(), read_pool.len()), "pool sizes");
+            let oracle = if pool == Pool::Read {
+                read_pool
+            } else {
+                unread
+            };
             for (k, &want) in oracle.iter().enumerate() {
                 assert_eq!(
                     tree.select(lo, k, pool, &excluded.iter().copied()),

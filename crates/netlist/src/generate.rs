@@ -18,9 +18,14 @@
 //!
 //! Each gate input is one *pick*: a uniform draw from the nets of a
 //! positional window over every earlier layer, preferring nets no gate
-//! reads yet. Per-layer Fenwick trees over the "already read" flags give
-//! the pool sizes and the drawn member in O(layers · log n) per pick, so
-//! generation is O(gates · layers · log n) rather than O(gates · window).
+//! reads yet. Per gate, the generator formats one name (its output
+//! net's, when it creates the net) and looks no name up: it drives the
+//! builder by [`NetId`]. The gate's window costs two binary searches per
+//! layer, once per gate unless a pick has to widen it. Each pick then
+//! costs, per layer, two Fenwick prefix walks over the "already read"
+//! flags for both pool sizes, plus one Fenwick descent for the drawn
+//! member. Generation is O(gates · fan-in · layers · log n) rather than
+//! O(gates · window).
 //!
 //! The output for a given `(profile, seed, config)` is pinned byte for
 //! byte (`tests/generate_pinned.rs`), and so is the *order of the RNG
@@ -28,12 +33,10 @@
 //! would shift every later pick. Every checked-in result downstream of a
 //! generated circuit depends on both.
 
-use std::fmt;
-
 use scan_rng::ScanRng;
 
 use crate::fenwick::{Pool, ReadMarks};
-use crate::gate::GateKind;
+use crate::gate::{GateKind, NetId};
 use crate::{Netlist, NetlistBuilder};
 
 /// Published interface statistics of a benchmark circuit.
@@ -177,6 +180,7 @@ pub fn generate(profile: &CircuitProfile, seed: u64) -> Netlist {
 /// (which would be a bug, not a caller error).
 #[must_use]
 pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConfig) -> Netlist {
+    let _span = scan_obs::span!("netlist.generate");
     let mut rng = ScanRng::seed_from_u64(seed ^ hash_name(profile.name));
     let mut b = NetlistBuilder::new(profile.name);
 
@@ -184,17 +188,19 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
     // their index position (scan order == position order).
     let mut sources = Vec::with_capacity(profile.inputs + profile.dffs);
     for i in 0..profile.inputs {
-        b.input(&Net::Input(i).to_string());
+        let net = b.new_net(format!("pi{i}"));
+        b.add_input(net);
         let pos = (i as f64 + 0.5) / profile.inputs.max(1) as f64;
-        sources.push((pos, Net::Input(i)));
+        sources.push((pos, net));
     }
-    let mut ff_d_names = Vec::with_capacity(profile.dffs);
+    let mut ff_d_nets = Vec::with_capacity(profile.dffs);
     for i in 0..profile.dffs {
-        let d = format!("d{i}");
-        b.dff(&Net::Flop(i).to_string(), &d);
+        let q = b.new_net(format!("q{i}"));
+        let d = b.new_net(format!("d{i}"));
+        b.add_dff(q, d);
         let pos = (i as f64 + 0.5) / profile.dffs.max(1) as f64;
-        sources.push((pos, Net::Flop(i)));
-        ff_d_names.push((pos, d));
+        sources.push((pos, q));
+        ff_d_nets.push((pos, d));
     }
 
     // Gate cloud: `levels` layers; each layer draws inputs from a window
@@ -217,7 +223,7 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
         let mut layer = Vec::with_capacity(this_level);
         for _ in 0..this_level {
             let pos: f64 = rng.next_f64();
-            let net = Net::Gate(gate_counter);
+            let net = b.new_net(format!("w{gate_counter}"));
             gate_counter += 1;
             let kind = pick_kind(&mut rng, config);
             let fanin = if kind.is_unary() {
@@ -225,8 +231,7 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
             } else {
                 rng.gen_range_inclusive(2, config.max_fanin)
             };
-            let inputs = picker.pick_inputs(&mut rng, pos, fanin);
-            b.gate(kind, &net.to_string(), &inputs);
+            b.add_gate(kind, net, picker.pick_inputs(&mut rng, pos, fanin));
             layer.push((pos, net));
         }
         picker.push_layer(layer);
@@ -235,20 +240,20 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
 
     // Hook up FF D-inputs: a gate near the FF's own position, so state
     // feedback is local.
-    for (pos, d) in &ff_d_names {
+    for &(pos, d) in &ff_d_nets {
         let kind = pick_kind_nonunary(&mut rng, config);
         let fanin = rng.gen_range_inclusive(2, config.max_fanin);
-        b.gate(kind, d, &picker.pick_inputs(&mut rng, *pos, fanin));
+        b.add_gate(kind, d, picker.pick_inputs(&mut rng, pos, fanin));
         remaining = remaining.saturating_sub(1);
     }
     // Hook up POs similarly.
     for i in 0..profile.outputs {
-        let name = format!("po{i}");
+        let net = b.new_net(format!("po{i}"));
         let pos = (i as f64 + 0.5) / profile.outputs.max(1) as f64;
         let kind = pick_kind_nonunary(&mut rng, config);
         let fanin = rng.gen_range_inclusive(2, config.max_fanin);
-        b.gate(kind, &name, &picker.pick_inputs(&mut rng, pos, fanin));
-        b.output(&name);
+        b.add_gate(kind, net, picker.pick_inputs(&mut rng, pos, fanin));
+        b.add_output(net);
     }
 
     // Free the picker before `finish` builds the netlist, so the
@@ -319,31 +324,9 @@ fn pick_kind_nonunary(rng: &mut ScanRng, config: &GeneratorConfig) -> GateKind {
     }
 }
 
-/// A candidate input net. Layers store these rather than names; the
-/// name is formatted only when a builder call needs it.
-#[derive(Clone, Copy, Debug)]
-enum Net {
-    /// Primary input `pi{i}`.
-    Input(usize),
-    /// Flip-flop output `q{i}`.
-    Flop(usize),
-    /// Cloud gate output `w{i}`.
-    Gate(usize),
-}
-
-impl fmt::Display for Net {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Net::Input(i) => write!(f, "pi{i}"),
-            Net::Flop(i) => write!(f, "q{i}"),
-            Net::Gate(i) => write!(f, "w{i}"),
-        }
-    }
-}
-
 /// One finished layer of candidate input nets, sorted by position.
 struct Layer {
-    nets: Vec<(f64, Net)>,
+    nets: Vec<(f64, NetId)>,
     /// Which slots some gate already reads (dangling-logic avoidance).
     read: ReadMarks,
 }
@@ -355,11 +338,12 @@ struct NetRef {
     slot: usize,
 }
 
-/// A layer's share of the current window: its first slot and the
-/// sizes of both pools after excluding already-chosen nets.
+/// A layer's share of the current window: its slot range `[lo, hi)`
+/// and the sizes of both pools after excluding already-chosen nets.
 #[derive(Clone, Copy)]
 struct LayerWindow {
     lo: usize,
+    hi: usize,
     unread: usize,
     read: usize,
 }
@@ -380,7 +364,6 @@ struct Picker {
     layers: Vec<Layer>,
     windows: Vec<LayerWindow>,
     chosen: Vec<NetRef>,
-    names: Vec<String>,
 }
 
 impl Picker {
@@ -390,13 +373,12 @@ impl Picker {
             layers: Vec::new(),
             windows: Vec::new(),
             chosen: Vec::new(),
-            names: Vec::new(),
         }
     }
 
     /// Appends a layer of `(position, net)` pairs. The sort is stable,
     /// so nets at equal positions keep their creation order.
-    fn push_layer(&mut self, mut nets: Vec<(f64, Net)>) {
+    fn push_layer(&mut self, mut nets: Vec<(f64, NetId)>) {
         nets.sort_by(|a, b| a.0.total_cmp(&b.0));
         let read = ReadMarks::new(nets.len());
         self.layers.push(Layer { nets, read });
@@ -410,6 +392,18 @@ impl Picker {
             .map(|c| c.slot)
     }
 
+    /// Sets every layer's slot range to the nets within `window` of
+    /// `pos`.
+    fn set_window(&mut self, pos: f64, window: f64) {
+        self.windows.clear();
+        self.windows.extend(self.layers.iter().map(|layer| LayerWindow {
+            lo: layer.nets.partition_point(|(p, _)| *p < pos - window),
+            hi: layer.nets.partition_point(|(p, _)| *p <= pos + window),
+            unread: 0,
+            read: 0,
+        }));
+    }
+
     /// Picks `fanin` distinct nets from the accumulated layers,
     /// preferring nets whose position lies within `locality` of `pos`.
     /// The window is widened geometrically until enough candidates
@@ -419,28 +413,26 @@ impl Picker {
     ///
     /// The pools are the window's nets in layer order, then position
     /// order, minus the nets already chosen for this gate; a pick is a
-    /// uniform index into the chosen pool. Each attempt costs
-    /// O(layers · log n) through the per-layer [`ReadMarks`] counts.
-    /// The order of the `rng` draws is part of the pinned output (see
-    /// the module docs).
-    fn pick_inputs(&mut self, rng: &mut ScanRng, pos: f64, fanin: usize) -> Vec<&str> {
+    /// uniform index into the chosen pool. Each pick starts from the
+    /// `locality` window. The layers' slot ranges are found once per
+    /// window width, so a gate pays for them once unless a pick widens
+    /// its window; each attempt then costs O(layers · log n) through the
+    /// per-layer [`ReadMarks`] counts. The order of the `rng` draws is
+    /// part of the pinned output (see the module docs).
+    fn pick_inputs(&mut self, rng: &mut ScanRng, pos: f64, fanin: usize) -> Vec<NetId> {
         self.chosen.clear();
         let mut window = self.locality;
+        let mut widened = false;
+        self.set_window(pos, window);
         while self.chosen.len() < fanin {
-            self.windows.clear();
             let (mut unread, mut read) = (0, 0);
-            for (l, layer) in self.layers.iter().enumerate() {
-                let lo = layer.nets.partition_point(|(p, _)| *p < pos - window);
-                let hi = layer.nets.partition_point(|(p, _)| *p <= pos + window);
-                let excluded = Self::chosen_in(&self.chosen, l);
-                let share = LayerWindow {
-                    lo,
-                    unread: layer.read.count(lo, hi, Pool::Unread, &excluded),
-                    read: layer.read.count(lo, hi, Pool::Read, &excluded),
-                };
+            for (l, (layer, share)) in self.layers.iter().zip(&mut self.windows).enumerate() {
+                (share.unread, share.read) =
+                    layer
+                        .read
+                        .counts(share.lo, share.hi, Self::chosen_in(&self.chosen, l));
                 unread += share.unread;
                 read += share.read;
-                self.windows.push(share);
             }
             // Prefer unread nets most of the time; mixing in some reuse
             // keeps fanout (and therefore branch faults) realistic.
@@ -451,6 +443,8 @@ impl Picker {
             };
             if size == 0 {
                 window *= 2.0;
+                widened = true;
+                self.set_window(pos, window);
                 if window > 1.0 {
                     // Degenerate (shouldn't happen: sources always exist);
                     // fall back to any net from the first layer, without
@@ -476,15 +470,16 @@ impl Picker {
                 }
                 k -= share.size(pool);
             }
-            window = self.locality;
+            if widened {
+                window = self.locality;
+                widened = false;
+                self.set_window(pos, window);
+            }
         }
-        self.names.clear();
-        self.names.extend(
-            self.chosen
-                .iter()
-                .map(|c| self.layers[c.layer].nets[c.slot].1.to_string()),
-        );
-        self.names.iter().map(String::as_str).collect()
+        self.chosen
+            .iter()
+            .map(|c| self.layers[c.layer].nets[c.slot].1)
+            .collect()
     }
 }
 

@@ -248,29 +248,22 @@ impl NetlistBuilder {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
-        let id = NetId(self.net_names.len() as u32);
-        self.net_names.push(name.to_owned());
+        let id = self.new_net(name.to_owned());
         self.by_name.insert(name.to_owned(), id);
-        self.drivers.push(None);
         id
     }
 
     /// Declares a primary input net.
     pub fn input(&mut self, name: &str) -> NetId {
         let id = self.net(name);
-        // A repeated INPUT(x) is reported as DuplicateInput by finish();
-        // don't also record it as a driver conflict.
-        if !self.inputs.contains(&id) {
-            self.set_driver(id, Driver::PrimaryInput);
-        }
-        self.inputs.push(id);
+        self.add_input(id);
         id
     }
 
     /// Declares a primary output net (the net may be driven later).
     pub fn output(&mut self, name: &str) -> NetId {
         let id = self.net(name);
-        self.outputs.push(id);
+        self.add_output(id);
         id
     }
 
@@ -279,14 +272,8 @@ impl NetlistBuilder {
     /// Returns the output net id.
     pub fn gate(&mut self, kind: GateKind, output: &str, inputs: &[&str]) -> NetId {
         let out = self.net(output);
-        let ins: Vec<NetId> = inputs.iter().map(|n| self.net(n)).collect();
-        let gid = GateId(self.gates.len() as u32);
-        self.gates.push(Gate {
-            kind,
-            inputs: ins,
-            output: out,
-        });
-        self.set_driver(out, Driver::Gate(gid));
+        let ins = inputs.iter().map(|n| self.net(n)).collect();
+        self.add_gate(kind, out, ins);
         out
     }
 
@@ -295,10 +282,55 @@ impl NetlistBuilder {
     pub fn dff(&mut self, q: &str, d: &str) -> NetId {
         let qid = self.net(q);
         let did = self.net(d);
-        let ffid = DffId(self.dffs.len() as u32);
-        self.dffs.push(Dff { d: did, q: qid });
-        self.set_driver(qid, Driver::Dff(ffid));
+        self.add_dff(qid, did);
         qid
+    }
+
+    // The id-based calls below are the single insertion path behind the
+    // name-based ones above. The generator calls them directly: it
+    // formats each name once, when it creates the net, and never looks a
+    // net up by name, so its nets stay out of `by_name` (a later
+    // name-based call with the same name would create a second net).
+
+    /// Creates a net called `name` without indexing it by name.
+    pub(crate) fn new_net(&mut self, name: String) -> NetId {
+        let id = NetId(self.net_names.len() as u32);
+        self.net_names.push(name);
+        self.drivers.push(None);
+        id
+    }
+
+    /// Declares `id` a primary input.
+    pub(crate) fn add_input(&mut self, id: NetId) {
+        // A repeated INPUT(x) is reported as DuplicateInput by finish();
+        // don't also record it as a driver conflict.
+        if !self.inputs.contains(&id) {
+            self.set_driver(id, Driver::PrimaryInput);
+        }
+        self.inputs.push(id);
+    }
+
+    /// Declares `id` a primary output.
+    pub(crate) fn add_output(&mut self, id: NetId) {
+        self.outputs.push(id);
+    }
+
+    /// Adds a combinational gate driving `out` from `inputs`.
+    pub(crate) fn add_gate(&mut self, kind: GateKind, out: NetId, inputs: Vec<NetId>) {
+        let gid = GateId(self.gates.len() as u32);
+        self.gates.push(Gate {
+            kind,
+            inputs,
+            output: out,
+        });
+        self.set_driver(out, Driver::Gate(gid));
+    }
+
+    /// Adds a D flip-flop `q = DFF(d)`.
+    pub(crate) fn add_dff(&mut self, q: NetId, d: NetId) {
+        let ffid = DffId(self.dffs.len() as u32);
+        self.dffs.push(Dff { d, q });
+        self.set_driver(q, Driver::Dff(ffid));
     }
 
     /// Convenience: drives the named DFF data net with a buffer of a

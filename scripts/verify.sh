@@ -161,7 +161,7 @@ short_ms = 2000
 SLO
 SCANBIST_SLO_LINGER_MS=3000 ./target/release/table4 \
     --slo "$SMOKE_DIR/tight_slo.toml" \
-    --trace-out "$SMOKE_DIR/alert_trace.ndjson" "$SMOKE_DIR" \
+    --trace-out "$SMOKE_DIR/alert_trace.ndjson" \
     > /dev/null 2>> "$SMOKE_DIR/summary.txt"
 ./target/release/obs-check "$SMOKE_DIR/alert_trace.ndjson"
 FIRING=$(grep -c '"type":"alert".*"state":"firing"' "$SMOKE_DIR/alert_trace.ndjson" || true)
