@@ -175,12 +175,12 @@ impl Lfsr {
     /// Advances one step and returns the bit shifted out (the previous
     /// coefficient of `x^(degree−1)`).
     pub fn step(&mut self) -> bool {
-        let out = self.state >> (self.degree - 1) & 1 != 0;
-        self.state = (self.state << 1) & self.mask();
-        if out {
-            self.state ^= self.poly & self.mask();
-        }
-        out
+        // The output bit is a fair coin, so a branch on it mispredicts
+        // every other step; `out.wrapping_neg()` is all ones or zero and
+        // selects the feedback instead.
+        let out = self.state >> (self.degree - 1) & 1;
+        self.state = ((self.state << 1) ^ (self.poly & out.wrapping_neg())) & self.mask();
+        out != 0
     }
 
     /// The low `k` bits of the current state, as a small pseudo-random
@@ -262,6 +262,32 @@ mod tests {
         l.load(0b1010_1100);
         assert_eq!(l.low_bits(4), 0b1100);
         assert_eq!(l.low_bits(8), 0b1010_1100);
+    }
+
+    #[test]
+    fn step_matches_branching_step_at_every_degree() {
+        // The shift-then-conditionally-xor form of S·x mod p.
+        fn branching_step(state: &mut u64, poly: u64, degree: u32) -> bool {
+            let mask = (1u64 << degree) - 1;
+            let out = *state >> (degree - 1) & 1 != 0;
+            *state = (*state << 1) & mask;
+            if out {
+                *state ^= poly & mask;
+            }
+            out
+        }
+        for degree in 2..=32 {
+            for seed in [1, 0xACE1, 0xDEAD_BEEF, u64::MAX] {
+                let mut l = Lfsr::new(degree).unwrap();
+                l.load(seed);
+                let mut s = l.state();
+                for i in 0..10_000 {
+                    let out = branching_step(&mut s, l.poly(), degree);
+                    assert_eq!(l.step(), out, "degree {degree} seed {seed:#x} step {i}");
+                    assert_eq!(l.state(), s, "degree {degree} seed {seed:#x} step {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,9 @@ pub struct Netlist {
     levels: Vec<u32>,
     /// Fanout gate lists per net.
     fanouts: Vec<Vec<GateId>>,
+    /// Gate input pins reading each net (a gate reading a net on two
+    /// pins counts twice).
+    fanout_pins: Vec<u32>,
 }
 
 impl Netlist {
@@ -175,19 +178,11 @@ impl Netlist {
     }
 
     /// Number of gate input pins reading the given net (fanout count,
-    /// counting repeated pins of one gate individually).
+    /// counting repeated pins of one gate individually). O(1): the
+    /// counts are taken once, when the netlist is built.
     #[must_use]
     pub fn fanout_count(&self, net: NetId) -> usize {
-        self.fanouts[net.index()]
-            .iter()
-            .map(|&g| {
-                self.gates[g.index()]
-                    .inputs
-                    .iter()
-                    .filter(|&&n| n == net)
-                    .count()
-            })
-            .sum()
+        self.fanout_pins[net.index()] as usize
     }
 
     /// Iterates over all net ids.
@@ -415,10 +410,12 @@ impl NetlistBuilder {
         let num_gates = self.gates.len();
         let mut indegree = vec![0u32; num_gates];
         let mut fanouts: Vec<Vec<GateId>> = vec![Vec::new(); self.net_names.len()];
+        let mut fanout_pins = vec![0u32; self.net_names.len()];
         for (gi, gate) in self.gates.iter().enumerate() {
             for &input in &gate.inputs {
+                fanout_pins[input.index()] += 1;
                 // A gate reading the same net on several pins appears once
-                // in the fanout list; fanout_count() counts pins.
+                // in the fanout list; fanout_pins counts pins.
                 if fanouts[input.index()].last() != Some(&GateId(gi as u32)) {
                     fanouts[input.index()].push(GateId(gi as u32));
                     if let Driver::Gate(_) = drivers[input.index()] {
@@ -476,6 +473,7 @@ impl NetlistBuilder {
             topo,
             levels,
             fanouts,
+            fanout_pins,
         })
     }
 }

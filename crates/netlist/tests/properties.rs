@@ -114,3 +114,34 @@ fn generator_views_complete() {
         }
     });
 }
+
+/// `fanout_count` equals a brute-force count of the gate input pins
+/// reading each net, on generated circuits with one extra gate that
+/// reads a net on two pins.
+#[test]
+fn fanout_count_matches_pin_count() {
+    Runner::new(40).run("fanout_count_matches_pin_count", |g| {
+        let name = g.pick("profile", &["s298", "s386", "c432"]);
+        let seed = g.u64("seed", 0, 39);
+        let n = generate_with(profile(name).unwrap(), seed, &GeneratorConfig::default());
+        let text = n.to_bench_string();
+        let shared = text
+            .lines()
+            .find_map(|l| l.strip_prefix("INPUT(")?.strip_suffix(')'))
+            .expect("generated circuits have inputs");
+        let text = format!("{text}OUTPUT(twice)\ntwice = XOR({shared}, {shared})\n");
+        let n = Netlist::from_bench(name, &text).unwrap();
+        let twice = n.find_net("twice").unwrap();
+        let reader = n.gates().iter().find(|gate| gate.output == twice).unwrap();
+        assert_eq!(reader.inputs[0], reader.inputs[1]);
+        for net in n.net_ids() {
+            let pins = n
+                .gates()
+                .iter()
+                .flat_map(|gate| &gate.inputs)
+                .filter(|&&input| input == net)
+                .count();
+            assert_eq!(n.fanout_count(net), pins, "{name} net {}", n.net_name(net));
+        }
+    });
+}

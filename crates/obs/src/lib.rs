@@ -214,11 +214,14 @@ impl Session {
     /// Honors the `SCANBIST_SLO_LINGER_MS` ops/test hook first: when
     /// the variable holds a millisecond count and a sampler is
     /// running, the session stays open that long (capped at 10 s)
-    /// with the sampler still ticking, so shutdown-adjacent SLO
-    /// transitions — a burn-rate rule resolving once its short window
-    /// drains after the last burst of work — are observed instead of
-    /// cut off. `scripts/verify.sh` uses it to pin an exact
-    /// fire/resolve alert pair; production runs leave it unset.
+    /// with the sampler still ticking and the `/metrics` endpoint
+    /// still serving (`--serve-metrics` implies sampling). So
+    /// shutdown-adjacent SLO transitions — a burn-rate rule resolving
+    /// once its short window drains after the last burst of work — are
+    /// observed instead of cut off, and a scrape that starts after a
+    /// short campaign ends still lands. `scripts/verify.sh` uses it to
+    /// pin an exact fire/resolve alert pair and to scrape its live
+    /// metrics smoke; production runs leave it unset.
     pub fn finish(self, failed: bool) {
         if self.sampler.is_some() {
             if let Some(ms) = std::env::var("SCANBIST_SLO_LINGER_MS")

@@ -88,22 +88,12 @@ impl FaultUniverse {
     /// stuck-at-0/1 on every input pin whose net has fanout greater than
     /// one (fanout branches). Pins on single-fanout nets are identical
     /// to the stem fault and are not duplicated.
+    ///
+    /// Costs O(nets + pins).
     #[must_use]
     pub fn all(netlist: &Netlist) -> Self {
         let mut faults = Vec::with_capacity(2 * netlist.num_nets());
-        for net in netlist.net_ids() {
-            faults.push(Fault::stem(net, false));
-            faults.push(Fault::stem(net, true));
-        }
-        for gid in netlist.gate_ids() {
-            let gate = netlist.gate(gid);
-            for (pin, &input) in gate.inputs.iter().enumerate() {
-                if netlist.fanout_count(input) > 1 {
-                    faults.push(Fault::pin(gid, pin as u32, false));
-                    faults.push(Fault::pin(gid, pin as u32, true));
-                }
-            }
-        }
+        for_each_structural_fault(netlist, |fault| faults.push(fault));
         FaultUniverse { faults }
     }
 
@@ -120,56 +110,53 @@ impl FaultUniverse {
     ///   inputs.
     ///
     /// Branch (pin) faults never collapse across the gate.
+    ///
+    /// The list is [`FaultUniverse::all`]'s order with each stem fault
+    /// replaced by its class representative at the class's first
+    /// occurrence. Costs O(nets + pins).
     #[must_use]
     pub fn collapsed(netlist: &Netlist) -> Self {
-        // forward: (net, value) stem fault → equivalent (net, value)
-        // further downstream. Flat-indexed by `net * 2 + value`: this
-        // runs on every campaign preparation, so the lookup tables sit
-        // on the sampling hot path.
+        // rep: (net, value) stem fault → the equivalent (net, value)
+        // furthest downstream, when that is another fault. Flat-indexed
+        // by `net * 2 + value`. Gates are visited outputs-first, so a
+        // gate's output faults are resolved before its inputs point at
+        // them, and every lookup below is one step.
         let slot = |net: NetId, value: bool| net.index() * 2 + usize::from(value);
-        let mut forward: Vec<Option<(NetId, bool)>> = vec![None; netlist.num_nets() * 2];
-        for gid in netlist.gate_ids() {
+        let mut rep: Vec<Option<(NetId, bool)>> = vec![None; netlist.num_nets() * 2];
+        for &gid in netlist.topo_order().iter().rev() {
             let gate = netlist.gate(gid);
+            let out = gate.output;
+            let target = [false, true].map(|value| rep[slot(out, value)].unwrap_or((out, value)));
             for &input in &gate.inputs {
                 if netlist.fanout_count(input) != 1 {
                     continue;
                 }
                 match gate.kind {
                     GateKind::Not | GateKind::Buf => {
-                        let inv = gate.kind == GateKind::Not;
-                        forward[slot(input, false)] = Some((gate.output, inv));
-                        forward[slot(input, true)] = Some((gate.output, !inv));
+                        let inv = usize::from(gate.kind == GateKind::Not);
+                        rep[slot(input, false)] = Some(target[inv]);
+                        rep[slot(input, true)] = Some(target[1 - inv]);
                     }
                     _ => {
                         if let Some(c) = gate.kind.controlling_value() {
-                            let out_value = c ^ gate.kind.is_inverting();
-                            forward[slot(input, c)] = Some((gate.output, out_value));
+                            let value = c ^ gate.kind.is_inverting();
+                            rep[slot(input, c)] = Some(target[usize::from(value)]);
                         }
                     }
                 }
             }
         }
-        let resolve = |mut key: (NetId, bool)| {
-            // Chains are acyclic (they follow combinational paths), so
-            // this terminates.
-            while let Some(next) = forward[slot(key.0, key.1)] {
-                key = next;
-            }
-            key
-        };
         let mut seen = vec![false; netlist.num_nets() * 2];
         let mut faults = Vec::new();
-        for fault in FaultUniverse::all(netlist).faults {
-            match fault.site {
-                FaultSite::Stem(net) => {
-                    let rep = resolve((net, fault.stuck));
-                    if !std::mem::replace(&mut seen[slot(rep.0, rep.1)], true) {
-                        faults.push(Fault::stem(rep.0, rep.1));
-                    }
+        for_each_structural_fault(netlist, |fault| match fault.site {
+            FaultSite::Stem(net) => {
+                let (net, stuck) = rep[slot(net, fault.stuck)].unwrap_or((net, fault.stuck));
+                if !std::mem::replace(&mut seen[slot(net, stuck)], true) {
+                    faults.push(Fault::stem(net, stuck));
                 }
-                FaultSite::Pin { .. } => faults.push(fault),
             }
-        }
+            FaultSite::Pin { .. } => faults.push(fault),
+        });
         FaultUniverse { faults }
     }
 
@@ -189,6 +176,26 @@ impl FaultUniverse {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
+    }
+}
+
+/// Visits the structural faults in universe order: both stuck values
+/// on every net stem in net order, then both on every fanout-branch
+/// pin, in gate and pin order. The one definition of that order, which
+/// [`FaultUniverse::all`] collects and [`FaultUniverse::collapsed`]
+/// filters.
+fn for_each_structural_fault(netlist: &Netlist, mut visit: impl FnMut(Fault)) {
+    for net in netlist.net_ids() {
+        visit(Fault::stem(net, false));
+        visit(Fault::stem(net, true));
+    }
+    for gid in netlist.gate_ids() {
+        for (pin, &input) in netlist.gate(gid).inputs.iter().enumerate() {
+            if netlist.fanout_count(input) > 1 {
+                visit(Fault::pin(gid, pin as u32, false));
+                visit(Fault::pin(gid, pin as u32, true));
+            }
+        }
     }
 }
 

@@ -54,14 +54,10 @@ impl PatternSet {
         for p in 0..num_patterns {
             let (w, b) = (p / 64, p % 64);
             for ff in &mut state_bits {
-                if next_bit() {
-                    ff[w] |= 1 << b;
-                }
+                ff[w] |= u64::from(next_bit()) << b;
             }
             for pi in &mut pi_bits {
-                if next_bit() {
-                    pi[w] |= 1 << b;
-                }
+                pi[w] |= u64::from(next_bit()) << b;
             }
         }
         PatternSet {

@@ -113,8 +113,10 @@ echo "==> quick bench smoke (scanbist bench --quick)"
     > "$SMOKE_DIR/bench_table.txt" 2> "$SMOKE_DIR/bench_progress.txt"
 ./target/release/obs-check "$SMOKE_DIR/BENCH_quick.json"
 
-echo "==> live metrics smoke (--serve-metrics, scraped mid-campaign)"
-./target/release/scanbist \
+echo "==> live metrics smoke (--serve-metrics, scraped while the session lingers 3 s after the campaign)"
+# The campaign can end before the poll below sees the address; the
+# linger hook keeps the endpoint open until the scrape lands.
+SCANBIST_SLO_LINGER_MS=3000 ./target/release/scanbist \
     --serve-metrics 127.0.0.1:0 \
     --trace-out "$SMOKE_DIR/serve_trace.ndjson" \
     diagnose s13207 --patterns 256 --faults 120 \
