@@ -84,9 +84,8 @@ where
     for cell in 0..num_cells {
         let (_, pos) = model.layout().coord(cell);
         let pos = pos as usize;
-        let inside = |ranges: &[(usize, usize)]| {
-            ranges.iter().any(|&(lo, hi)| (lo..hi).contains(&pos))
-        };
+        let inside =
+            |ranges: &[(usize, usize)]| ranges.iter().any(|&(lo, hi)| (lo..hi).contains(&pos));
         if inside(&confirmed) || inside(&aborted) {
             candidates.insert(cell);
         }

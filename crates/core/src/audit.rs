@@ -308,9 +308,7 @@ pub fn summarize_ndjson(text: &str) -> Result<String, String> {
                 if let Some(level) = value.get("confidence").and_then(Value::as_str) {
                     *confidences.entry(level.to_owned()).or_insert(0) += 1;
                 }
-                faults.push(
-                    parse_fault(&value).map_err(|e| format!("line {}: {e}", index + 1))?,
-                );
+                faults.push(parse_fault(&value).map_err(|e| format!("line {}: {e}", index + 1))?);
             }
             Some("retry") => retries += 1,
             Some("vote") => votes += 1,
@@ -328,7 +326,11 @@ pub fn summarize_ndjson(text: &str) -> Result<String, String> {
     let sum_final: u64 = faults.iter().map(|f| f.1).sum();
     let steps = faults.iter().map(|f| f.2.len()).max().unwrap_or(0);
     let mut out = String::new();
-    let _ = writeln!(out, "diagnosis audit: {} fault(s), scheme {scheme}", faults.len());
+    let _ = writeln!(
+        out,
+        "diagnosis audit: {} fault(s), scheme {scheme}",
+        faults.len()
+    );
     let _ = writeln!(
         out,
         "  mean actual failing cells {:.2}, mean final candidates {:.2}",
@@ -343,8 +345,8 @@ pub fn summarize_ndjson(text: &str) -> Result<String, String> {
     for k in 0..steps {
         let with_step: Vec<&(u64, u64, Vec<u64>, Vec<String>)> =
             faults.iter().filter(|f| f.2.len() > k).collect();
-        let mean = with_step.iter().map(|f| f.2[k]).sum::<u64>() as f64
-            / with_step.len().max(1) as f64;
+        let mean =
+            with_step.iter().map(|f| f.2[k]).sum::<u64>() as f64 / with_step.len().max(1) as f64;
         let kind = with_step
             .first()
             .and_then(|f| f.3.get(k).cloned())
@@ -531,7 +533,10 @@ mod tests {
                 retry_rounds: 1,
                 used_fallback: false,
                 events: vec![
-                    RobustEvent::Retry { round: 0, sessions: 4 },
+                    RobustEvent::Retry {
+                        round: 0,
+                        sessions: 4,
+                    },
                     RobustEvent::Vote {
                         partition: 1,
                         group: 2,

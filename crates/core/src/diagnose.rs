@@ -295,7 +295,10 @@ mod tests {
         let outcome = SessionOutcome::from_verdicts(failed);
         let diag = diagnose(&plan, &outcome);
         assert_eq!(diag.num_candidates(), 0);
-        assert_eq!(diag.status(), DiagnosisStatus::Contradictory { partition: 1 });
+        assert_eq!(
+            diag.status(),
+            DiagnosisStatus::Contradictory { partition: 1 }
+        );
         assert_eq!(
             diagnose_checked(&plan, &outcome),
             Err(DiagnoseError::ContradictoryHistory { partition: 1 })

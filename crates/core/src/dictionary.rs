@@ -136,7 +136,10 @@ impl FaultDictionary {
         if total == 0 {
             return 0.0;
         }
-        map.values().map(|v| (v.len() * v.len()) as f64).sum::<f64>() / total as f64
+        map.values()
+            .map(|v| (v.len() * v.len()) as f64)
+            .sum::<f64>()
+            / total as f64
     }
 }
 

@@ -128,7 +128,10 @@ impl fmt::Display for CampaignError {
             CampaignError::Patterns(e) => write!(f, "{e}"),
             CampaignError::Plan(e) => write!(f, "{e}"),
             CampaignError::NoSuchCore { core, available } => {
-                write!(f, "faulty core index {core} out of range ({available} cores)")
+                write!(
+                    f,
+                    "faulty core index {core} out of range ({available} cores)"
+                )
             }
             CampaignError::NoDetectedFaults => write!(f, "no detected faults to diagnose"),
             CampaignError::NotSocCampaign => {
@@ -442,7 +445,11 @@ impl PreparedCampaign {
             .into_iter()
             .map(|(cell, _, _)| cell.core)
             .collect();
-        let core_sizes: Vec<usize> = soc.cores().iter().map(scan_soc::CoreModule::num_positions).collect();
+        let core_sizes: Vec<usize> = soc
+            .cores()
+            .iter()
+            .map(scan_soc::CoreModule::num_positions)
+            .collect();
         Ok(PreparedCampaign {
             layout: ChainLayout::from_soc(soc),
             spec: *spec,
@@ -543,7 +550,10 @@ impl PreparedCampaign {
             .count() as u64;
         let pruned = prune_by_cover(plan, &outcome, diag.candidates());
         scan_obs::metrics::incr("diagnosis.cases");
-        scan_obs::metrics::record_pow2("diagnosis.candidates_per_fault", diag.num_candidates() as u64);
+        scan_obs::metrics::record_pow2(
+            "diagnosis.candidates_per_fault",
+            diag.num_candidates() as u64,
+        );
         scan_obs::metrics::record_pow2("diagnosis.actual_failing_cells", failing.len() as u64);
         CaseStats {
             candidates: diag.num_candidates(),
@@ -605,7 +615,11 @@ impl PreparedCampaign {
     ///
     /// Returns [`CampaignError::Plan`] if the diagnosis plan cannot be
     /// built for this layout/spec.
-    pub fn run_parallel(&self, scheme: Scheme, threads: usize) -> Result<SchemeReport, CampaignError> {
+    pub fn run_parallel(
+        &self,
+        scheme: Scheme,
+        threads: usize,
+    ) -> Result<SchemeReport, CampaignError> {
         let _span = scan_obs::span!("diagnose");
         let plan = self.build_plan(scheme)?;
         let masked = self.masked_cells();
@@ -1355,7 +1369,9 @@ mod tests {
     fn robust_invalid_noise_config_is_a_campaign_error() {
         let mut cfg = NoiseConfig::noiseless(1);
         cfg.flip_rate = 1.5;
-        let err = NoiseModel::new(cfg).map_err(CampaignError::from).unwrap_err();
+        let err = NoiseModel::new(cfg)
+            .map_err(CampaignError::from)
+            .unwrap_err();
         assert!(matches!(err, CampaignError::Noise(_)));
         assert!(err.to_string().contains("flip_rate"));
     }

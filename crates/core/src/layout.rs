@@ -67,8 +67,16 @@ impl ChainLayout {
     #[must_use]
     pub fn from_coords(coords: Vec<(u32, u32)>) -> Self {
         assert!(!coords.is_empty(), "empty chain layout");
-        let num_chains = coords.iter().map(|&(c, _)| c as usize + 1).max().unwrap_or(1);
-        let max_len = coords.iter().map(|&(_, p)| p as usize + 1).max().unwrap_or(1);
+        let num_chains = coords
+            .iter()
+            .map(|&(c, _)| c as usize + 1)
+            .max()
+            .unwrap_or(1);
+        let max_len = coords
+            .iter()
+            .map(|&(_, p)| p as usize + 1)
+            .max()
+            .unwrap_or(1);
         ChainLayout {
             coords,
             num_chains,

@@ -66,13 +66,13 @@ mod metrics;
 pub mod noise;
 pub mod parallel;
 mod pruning;
-pub mod robust;
 pub mod ranking;
 pub mod report;
+pub mod robust;
 pub mod schedule;
 mod session;
-pub mod tester;
 pub mod soc_diag;
+pub mod tester;
 pub mod vector_diag;
 pub mod windows;
 
@@ -80,16 +80,16 @@ pub use audit::{AuditStep, CampaignAudit, FaultAudit, RobustAudit, RobustFaultAu
 pub use cancel::CancelToken;
 pub use diagnose::{diagnose, diagnose_checked, Diagnosis, DiagnosisStatus};
 pub use error::{BuildPlanError, DiagnoseError, NoiseConfigError};
+pub use experiment::{
+    lfsr_patterns, CampaignError, CampaignSpec, LocalizationReport, PreparedCampaign, RobustReport,
+    SchemeReport,
+};
+pub use layout::ChainLayout;
+pub use metrics::DrAccumulator;
 pub use noise::{NoiseConfig, NoiseModel, ObservedOutcome, Verdict};
+pub use pruning::prune_by_cover;
 pub use robust::{
     diagnose_reported, diagnose_robust, diagnose_robust_cancellable, Confidence,
     InconclusiveReason, RobustDiagnosis, RobustPolicy,
 };
-pub use experiment::{
-    lfsr_patterns, CampaignError, CampaignSpec, LocalizationReport, PreparedCampaign,
-    RobustReport, SchemeReport,
-};
-pub use layout::ChainLayout;
-pub use metrics::DrAccumulator;
-pub use pruning::prune_by_cover;
 pub use session::{BistConfig, DiagnosisPlan, ResponseModel, SessionOutcome};

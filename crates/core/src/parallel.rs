@@ -107,7 +107,10 @@ where
             }
         });
     }
-    slots.into_iter().map(|s| s.expect("every case computed")).collect()
+    slots
+        .into_iter()
+        .map(|s| s.expect("every case computed"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -182,7 +185,9 @@ mod tests {
         let campaign = PreparedCampaign::from_circuit(&n, &spec).unwrap();
         let serial = campaign.run(Scheme::TWO_STEP_DEFAULT).unwrap();
         for threads in [1, 2, 8] {
-            let par = campaign.run_parallel(Scheme::TWO_STEP_DEFAULT, threads).unwrap();
+            let par = campaign
+                .run_parallel(Scheme::TWO_STEP_DEFAULT, threads)
+                .unwrap();
             assert_eq!(par.dr, serial.dr);
             assert_eq!(par.dr_pruned, serial.dr_pruned);
             assert_eq!(par.dr_by_prefix, serial.dr_by_prefix);

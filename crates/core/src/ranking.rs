@@ -27,11 +27,7 @@ impl SuspectRanking {
     /// evidence; sharing a big failing group is weak evidence. Ties
     /// break toward lower cell ids for determinism.
     #[must_use]
-    pub fn compute(
-        plan: &DiagnosisPlan,
-        outcome: &SessionOutcome,
-        candidates: &BitSet,
-    ) -> Self {
+    pub fn compute(plan: &DiagnosisPlan, outcome: &SessionOutcome, candidates: &BitSet) -> Self {
         let layout = plan.layout();
         // Candidate count per (partition, group).
         let mut group_sizes: Vec<Vec<usize>> = plan

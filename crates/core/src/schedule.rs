@@ -79,8 +79,8 @@ impl TestProgram {
                 positions: chain_len,
             });
         }
-        let misr_poly = primitive_poly(config.misr_degree)
-            .map_err(|_| BuildPlanError::UnsupportedDegree {
+        let misr_poly =
+            primitive_poly(config.misr_degree).map_err(|_| BuildPlanError::UnsupportedDegree {
                 degree: config.misr_degree,
             })?;
         let partition_poly = primitive_poly(config.partition_lfsr_degree).map_err(|_| {
@@ -124,10 +124,11 @@ impl TestProgram {
         if partitions.len() < config.partitions {
             // Random partitions chain through the IVR; record each
             // partition's starting IVR for auditability.
-            let mut lfsr = scan_bist::Lfsr::new(config.partition_lfsr_degree)
-                .map_err(|_| BuildPlanError::UnsupportedDegree {
+            let mut lfsr = scan_bist::Lfsr::new(config.partition_lfsr_degree).map_err(|_| {
+                BuildPlanError::UnsupportedDegree {
                     degree: config.partition_lfsr_degree,
-                })?;
+                }
+            })?;
             let mut ivr = config.partition_seed;
             while partitions.len() < config.partitions {
                 partitions.push(PartitionProgram::RandomSelection { ivr });
@@ -314,9 +315,8 @@ mod tests {
         let patterns = lfsr_patterns(&circuit, num_patterns, 0xACE1);
         let fsim = FaultSimulator::new(&circuit, &view, &patterns).unwrap();
         let config = BistConfig::new(2, 2, Scheme::TWO_STEP_DEFAULT);
-        let plan =
-            DiagnosisPlan::new(ChainLayout::single_chain(view.len()), num_patterns, &config)
-                .unwrap();
+        let plan = DiagnosisPlan::new(ChainLayout::single_chain(view.len()), num_patterns, &config)
+            .unwrap();
         let fast = super::golden_signatures(&plan, fsim.golden());
         for (p, partition) in plan.partitions().iter().enumerate() {
             for g in 0..partition.num_groups() {

@@ -222,7 +222,9 @@ impl<'a> VirtualTester<'a> {
         (0..self.config.groups)
             .map(|g| {
                 *sessions += 1;
-                let mask: Vec<bool> = (0..chain_len).map(|pos| partition.group_of(pos) == g).collect();
+                let mask: Vec<bool> = (0..chain_len)
+                    .map(|pos| partition.group_of(pos) == g)
+                    .collect();
                 self.session_fails(&mask, golden, faulty)
             })
             .collect()
@@ -307,7 +309,11 @@ impl<'a> VirtualTester<'a> {
             &scan_bist::PartitionConfig::new(chain_len, self.config.groups),
         );
         (0..self.config.groups)
-            .map(|g| (0..chain_len).map(|pos| partition.group_of(pos) == g).collect())
+            .map(|g| {
+                (0..chain_len)
+                    .map(|pos| partition.group_of(pos) == g)
+                    .collect()
+            })
             .collect()
     }
 }

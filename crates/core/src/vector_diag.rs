@@ -135,7 +135,13 @@ mod tests {
         ResponseModel::new(ChainLayout::single_chain(chain_len), patterns, 16).unwrap()
     }
 
-    fn plan(chain_len: usize, patterns: usize, groups: u16, parts: usize, scheme: Scheme) -> VectorDiagnosisPlan {
+    fn plan(
+        chain_len: usize,
+        patterns: usize,
+        groups: u16,
+        parts: usize,
+        scheme: Scheme,
+    ) -> VectorDiagnosisPlan {
         VectorDiagnosisPlan::new(model(chain_len, patterns), groups, parts, scheme, 16, 1).unwrap()
     }
 

@@ -94,8 +94,7 @@ where
             .max()
             .unwrap_or(0),
     );
-    let mut signatures =
-        vec![vec![vec![0u64; num_windows]; groups]; plan.partitions().len()];
+    let mut signatures = vec![vec![vec![0u64; num_windows]; groups]; plan.partitions().len()];
     for (cell, pattern) in error_bits {
         let (_, pos) = plan.layout().coord(cell);
         let contribution = plan.contribution(cell, pattern);

@@ -33,7 +33,9 @@ fn run_once() -> Baseline {
         candidates: campaign
             .candidate_sets(Scheme::TWO_STEP_DEFAULT)
             .expect("candidate sets"),
-        audit: campaign.audit(Scheme::TWO_STEP_DEFAULT).expect("audit replay"),
+        audit: campaign
+            .audit(Scheme::TWO_STEP_DEFAULT)
+            .expect("audit replay"),
     }
 }
 
@@ -86,7 +88,9 @@ fn results_are_bit_identical_with_observability_on_or_off() {
     // its own span stack).
     assert!(snapshot.span_stats.contains_key("worker"));
     assert!(snapshot.counters.contains_key("parallel.worker0.cases"));
-    assert!(snapshot.histograms.contains_key("diagnosis.candidates_per_fault"));
+    assert!(snapshot
+        .histograms
+        .contains_key("diagnosis.candidates_per_fault"));
     // The audit replay is itself instrumented and internally coherent.
     assert!(snapshot.span_stats.keys().any(|p| p.contains("audit")));
     for fault in &enabled.audit.faults {

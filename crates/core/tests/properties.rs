@@ -5,8 +5,8 @@ use scan_rng::testkit::{Gen, Runner};
 
 use scan_bist::Scheme;
 use scan_diagnosis::{
-    diagnose, prune_by_cover, BistConfig, CampaignSpec, ChainLayout, DiagnosisPlan,
-    NoiseConfig, NoiseModel, PreparedCampaign, RobustPolicy,
+    diagnose, prune_by_cover, BistConfig, CampaignSpec, ChainLayout, DiagnosisPlan, NoiseConfig,
+    NoiseModel, PreparedCampaign, RobustPolicy,
 };
 use scan_netlist::generate::{generate_with, profile, GeneratorConfig};
 use scan_netlist::{Netlist, ScanOrdering};
@@ -21,7 +21,12 @@ const SCHEMES: [Scheme; 4] = [
 /// Draws the deduplicated sparse error bits used by the plan
 /// properties: `(cell, pattern)` pairs with cells folded into the
 /// chain.
-fn error_bits(g: &mut Gen, chain_len: usize, max_pat: usize, max_count: usize) -> Vec<(usize, usize)> {
+fn error_bits(
+    g: &mut Gen,
+    chain_len: usize,
+    max_pat: usize,
+    max_count: usize,
+) -> Vec<(usize, usize)> {
     let bits = g.set("bits", 1, max_count, |r| {
         (r.gen_index(300), r.gen_index(max_pat))
     });
@@ -248,7 +253,10 @@ fn robust_runs_identical_serial_and_sharded() {
             max_retry_rounds: 2,
             votes: 3,
         };
-        let reference = format!("{:?}", campaign.run_robust(scheme, &noise, &policy).unwrap());
+        let reference = format!(
+            "{:?}",
+            campaign.run_robust(scheme, &noise, &policy).unwrap()
+        );
         for threads in [1usize, 2, 8] {
             assert_eq!(
                 reference,

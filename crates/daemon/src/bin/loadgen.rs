@@ -92,7 +92,11 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation, clippy::cast_precision_loss)]
+    #[allow(
+        clippy::cast_sign_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss
+    )]
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }
@@ -161,19 +165,20 @@ fn parse_args() -> Result<Options, String> {
                 options.groups = value("--groups")?.parse().map_err(|e| format!("{e}"))?;
             }
             "--partitions" => {
-                options.partitions =
-                    value("--partitions")?.parse().map_err(|e| format!("{e}"))?;
+                options.partitions = value("--partitions")?.parse().map_err(|e| format!("{e}"))?;
             }
             "--patterns" => {
                 options.patterns = value("--patterns")?.parse().map_err(|e| format!("{e}"))?;
             }
             "--deadline-ms" => {
-                options.deadline_ms =
-                    value("--deadline-ms")?.parse().map_err(|e| format!("{e}"))?;
+                options.deadline_ms = value("--deadline-ms")?
+                    .parse()
+                    .map_err(|e| format!("{e}"))?;
             }
             "--duration-ms" => {
-                options.duration_ms =
-                    value("--duration-ms")?.parse().map_err(|e| format!("{e}"))?;
+                options.duration_ms = value("--duration-ms")?
+                    .parse()
+                    .map_err(|e| format!("{e}"))?;
             }
             "--seed" => options.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
             "--rates" => {
@@ -345,8 +350,7 @@ fn run_scenario(options: &Options, rate: f64, label: &str) -> Scorecard {
             let scorecard = &scorecard;
             let next = &next;
             let arrivals = &arrivals;
-            let mut rng =
-                ScanRng::seed_from_u64(scan_rng::derive(options.seed, 1_000 + s as u64));
+            let mut rng = ScanRng::seed_from_u64(scan_rng::derive(options.seed, 1_000 + s as u64));
             scope.spawn(move || loop {
                 let index = next.fetch_add(1, Ordering::SeqCst);
                 let Some(at) = arrivals.get(index) else {

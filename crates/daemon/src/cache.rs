@@ -220,7 +220,9 @@ mod tests {
             .expect_err("propagates");
         assert_eq!(err, "nope");
         // Next attempt retries (and can succeed).
-        let ok = cache.get_or_build::<_, String>("bad", || Ok(plan(16))).expect("retried");
+        let ok = cache
+            .get_or_build::<_, String>("bad", || Ok(plan(16)))
+            .expect("retried");
         assert_eq!(ok.cells, 16);
     }
 
@@ -251,11 +253,19 @@ mod tests {
     #[test]
     fn lru_eviction_keeps_the_bound_and_the_newest() {
         let cache = PlanCache::new(2);
-        cache.get_or_build::<_, String>("a", || Ok(plan(16))).unwrap();
-        cache.get_or_build::<_, String>("b", || Ok(plan(24))).unwrap();
+        cache
+            .get_or_build::<_, String>("a", || Ok(plan(16)))
+            .unwrap();
+        cache
+            .get_or_build::<_, String>("b", || Ok(plan(24)))
+            .unwrap();
         // Touch `a` so `b` is the LRU victim.
-        cache.get_or_build::<_, String>("a", || unreachable!("hit")).unwrap();
-        cache.get_or_build::<_, String>("c", || Ok(plan(40))).unwrap();
+        cache
+            .get_or_build::<_, String>("a", || unreachable!("hit"))
+            .unwrap();
+        cache
+            .get_or_build::<_, String>("c", || Ok(plan(40)))
+            .unwrap();
         assert_eq!(cache.len(), 2);
         // `b` was evicted: rebuilding it calls the builder again.
         let rebuilt = AtomicUsize::new(0);

@@ -438,7 +438,13 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
             metrics::incr("daemon.http_errors");
             let status = e.status().unwrap_or(400);
             let body = ErrorBody::from_http_error(&e).render(None);
-            let _ = write_response(&mut stream, status, "application/json", body.as_bytes(), &[]);
+            let _ = write_response(
+                &mut stream,
+                status,
+                "application/json",
+                body.as_bytes(),
+                &[],
+            );
             return;
         }
     };
@@ -446,7 +452,13 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
     match (request.method.as_str(), request.path()) {
         (method @ ("GET" | "HEAD"), "/statz") => {
             let body = statz(inner);
-            let _ = write_reply(&mut stream, method, 200, "application/json", body.as_bytes());
+            let _ = write_reply(
+                &mut stream,
+                method,
+                200,
+                "application/json",
+                body.as_bytes(),
+            );
         }
         (method @ ("GET" | "HEAD"), path) => {
             let (status, content_type, body) = scan_obs::serve::route(path);
@@ -744,7 +756,11 @@ fn worker_loop(inner: &Arc<Inner>) {
         let line =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_job(inner, &job)))
                 .unwrap_or_else(|_| {
-                    let code = if injected { "injected-panic" } else { "internal" };
+                    let code = if injected {
+                        "injected-panic"
+                    } else {
+                        "internal"
+                    };
                     if !injected {
                         metrics::incr("daemon.worker_panics");
                     }
@@ -775,7 +791,9 @@ fn execute_job(inner: &Arc<Inner>, job: &Job) -> String {
         .render(Some(&request.id));
     }
     let started = Instant::now();
-    let built = inner.cache.get_or_build(&request.cache_key(), || build_plan(request));
+    let built = inner
+        .cache
+        .get_or_build(&request.cache_key(), || build_plan(request));
     let cached = match built {
         Ok(cached) => cached,
         Err(error) => return error.render(Some(&request.id)),
@@ -818,7 +836,8 @@ fn execute_job(inner: &Arc<Inner>, job: &Job) -> String {
     match result {
         Ok(diagnosis) => {
             let rank_outcome = diagnosis.verdicts.to_outcome();
-            let ranking = SuspectRanking::compute(&cached.plan, &rank_outcome, &diagnosis.candidates);
+            let ranking =
+                SuspectRanking::compute(&cached.plan, &rank_outcome, &diagnosis.candidates);
             let top: Vec<(usize, f64)> = ranking
                 .suspects()
                 .iter()
@@ -853,8 +872,8 @@ fn execute_job(inner: &Arc<Inner>, job: &Job) -> String {
 /// Builds a plan for the cache: resolve the circuit, derive the scan
 /// view, synthesize partitions.
 fn build_plan(request: &DiagnoseRequest) -> Result<CachedPlan, ErrorBody> {
-    let known = request.circuit == "s27"
-        || scan_netlist::generate::profile(&request.circuit).is_some();
+    let known =
+        request.circuit == "s27" || scan_netlist::generate::profile(&request.circuit).is_some();
     if !known {
         return Err(ErrorBody {
             code: "unknown-circuit",

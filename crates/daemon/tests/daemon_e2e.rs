@@ -110,7 +110,10 @@ fn s38417_line(id: &str, deadline_ms: Option<u64>) -> String {
 fn wait_for_empty_queue(addr: std::net::SocketAddr) {
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     while field(&get(addr, "/statz").body, "queue_depth") != Some("0") {
-        assert!(std::time::Instant::now() < deadline, "admission queue never drained");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "admission queue never drained"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
 }
@@ -136,7 +139,10 @@ fn happy_path_batch_returns_ranked_candidates() {
         Some("application/x-ndjson"),
         "NDJSON content type"
     );
-    assert!(reply.header("x-scanbist-trace").is_some(), "trace id header");
+    assert!(
+        reply.header("x-scanbist-trace").is_some(),
+        "trace id header"
+    );
     let lines = reply.lines();
     assert_eq!(lines.len(), 2, "one response line per request line");
     for line in &lines {
@@ -216,7 +222,11 @@ fn malformed_lines_get_error_lines_not_connection_drops() {
         s27_line("a")
     );
     let reply = post_diagnose(addr, &batch);
-    assert_eq!(reply.status, 200, "batch survives bad lines: {}", reply.body);
+    assert_eq!(
+        reply.status, 200,
+        "batch survives bad lines: {}",
+        reply.body
+    );
     let lines = reply.lines();
     assert_eq!(lines.len(), 3);
     assert_eq!(field(lines[0], "status"), Some("ok"));
@@ -264,7 +274,11 @@ fn full_queue_sheds_the_batch_with_429_and_retry_after() {
     }
     let reply = post_diagnose(addr, &batch);
     assert_eq!(reply.status, 429, "body: {}", reply.body);
-    assert_eq!(reply.header("retry-after"), Some("1"), "shed says when to retry");
+    assert_eq!(
+        reply.header("retry-after"),
+        Some("1"),
+        "shed says when to retry"
+    );
     assert!(reply.body.contains("queue-full"), "{}", reply.body);
 
     // The daemon is still healthy afterwards: once the lines admitted
@@ -352,8 +366,8 @@ fn chaos_injections_are_labeled_and_contained() {
     // carries the chaos header, and the injected worker panic becomes
     // a line-level `injected-panic` error inside an HTTP 200 — never
     // a crash, never an unlabeled 5xx.
-    let chaos = ChaosConfig::parse("seed=11,latency=1.0,latency_ms=1,panic=1.0")
-        .expect("valid chaos spec");
+    let chaos =
+        ChaosConfig::parse("seed=11,latency=1.0,latency_ms=1,panic=1.0").expect("valid chaos spec");
     let daemon = Daemon::start(DaemonConfig {
         chaos: Some(chaos),
         ..DaemonConfig::default()

@@ -34,7 +34,10 @@ fn decode(line: &str) -> (Option<String>, String, f64, String) {
         .and_then(Value::as_str)
         .expect("code string")
         .to_owned();
-    let http = error.get("http").and_then(Value::as_f64).expect("http number");
+    let http = error
+        .get("http")
+        .and_then(Value::as_f64)
+        .expect("http number");
     let message = error
         .get("message")
         .and_then(Value::as_str)
@@ -120,11 +123,7 @@ fn every_campaign_error_variant_is_pinned() {
         ),
         (CampaignError::NoDetectedFaults, "no-detected-faults", 422),
         (CampaignError::NotSocCampaign, "not-soc-campaign", 400),
-        (
-            CampaignError::Noise(noise_config_error()),
-            "bad-noise",
-            400,
-        ),
+        (CampaignError::Noise(noise_config_error()), "bad-noise", 400),
     ];
     for (error, code, http) in cases {
         assert_shape(&ErrorBody::from_campaign_error(&error), code, http);
@@ -147,10 +146,13 @@ fn every_diagnosis_status_variant_is_pinned() {
 
 #[test]
 fn messages_carry_variant_detail() {
-    let body = ErrorBody::from_diagnose_error(&DiagnoseError::ContradictoryHistory {
-        partition: 7,
-    });
-    assert!(body.message.contains('7'), "partition index: {}", body.message);
+    let body =
+        ErrorBody::from_diagnose_error(&DiagnoseError::ContradictoryHistory { partition: 7 });
+    assert!(
+        body.message.contains('7'),
+        "partition index: {}",
+        body.message
+    );
 
     let body = ErrorBody::from_campaign_error(&CampaignError::NoSuchCore {
         core: 9,

@@ -20,6 +20,10 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Crates join this list once they have been formatted.
+echo "==> cargo fmt --check (formatted crates)"
+cargo fmt --check -p scan-diagnosis -p scan-daemon
+
 # perfbench is a workspace of its own, so neither step above builds it:
 # build and test it here, or an API change that breaks the benchmark
 # goes unnoticed. It shares the benchmark's build directory.
