@@ -30,8 +30,8 @@ use scan_diagnosis::{
     lfsr_patterns, BistConfig, CampaignSpec, ChainLayout, DiagnosisPlan, PreparedCampaign,
 };
 use scan_netlist::{generate, ScanView};
-use scan_sim::PpsfpSimulator;
 use scan_obs::json::{parse, Value};
+use scan_sim::PpsfpSimulator;
 use scan_soc::{CoreModule, Soc};
 
 /// Version stamp written into every baseline file; bump when the JSON
@@ -581,7 +581,11 @@ mod tests {
         assert!(s.p95_ns <= 103, "p95 {} polluted", s.p95_ns);
         // The gate documents its decision: the cutoff it applied and
         // the samples it rejected.
-        assert!(s.cutoff_ns < 10_000, "cutoff {} let the hiccup in", s.cutoff_ns);
+        assert!(
+            s.cutoff_ns < 10_000,
+            "cutoff {} let the hiccup in",
+            s.cutoff_ns
+        );
         assert_eq!(s.dropped_ns, vec![10_000]);
     }
 
