@@ -24,7 +24,9 @@
 //!
 //! With a noiseless model the engine short-circuits to the plain
 //! intersection — bit-identical candidates, zero retries,
-//! [`Confidence::Exact`].
+//! [`Confidence::Exact`] — except that an all-passed history is graded
+//! [`Confidence::Inconclusive`] with [`InconclusiveReason::AllPassed`],
+//! as [`diagnose_reported`] grades it.
 
 use std::convert::Infallible;
 
@@ -374,7 +376,8 @@ pub fn diagnose_robust_cancellable(
 /// and between retry rounds, and its first `Err` ends the run.
 ///
 /// With a noiseless model it short-circuits to the strict engine,
-/// bit-identically. (Clean histories can still intersect to empty
+/// bit-identically, grading only an all-passed history (inconclusive,
+/// as everywhere else). (Clean histories can still intersect to empty
 /// under MISR aliasing; that is the strict engine's documented
 /// behavior and is preserved rather than misreported as noise.)
 fn recover<E>(
@@ -388,10 +391,11 @@ fn recover<E>(
     let _span = scan_obs::span!("diagnose_robust");
     if noise.is_noiseless() {
         let strict = intersect(plan, truth, poll)?;
-        return Ok(RobustDiagnosis::exact(
-            &strict,
-            ObservedOutcome::from_truth(truth),
-        ));
+        let mut result = RobustDiagnosis::exact(&strict, ObservedOutcome::from_truth(truth));
+        if strict.status() == DiagnosisStatus::AllPassed {
+            grade_final_status(plan, strict.status(), true, None, &mut result);
+        }
+        return Ok(result);
     }
 
     let mut observed = noise.observe(truth, fault, 0);
@@ -702,6 +706,25 @@ mod tests {
             Some(InconclusiveReason::AllPassed | InconclusiveReason::AllLost)
         ));
         assert!(robust.candidates.is_empty());
+    }
+
+    #[test]
+    fn noiseless_all_passed_grid_is_graded_like_reported() {
+        let plan = plan();
+        let truth = plan.analyze(std::iter::empty());
+        let robust = diagnose_robust(
+            &plan,
+            &truth,
+            &model(NoiseConfig::noiseless(5)),
+            &RobustPolicy::default(),
+            0,
+        );
+        assert_eq!(robust.confidence, Confidence::Inconclusive);
+        assert_eq!(robust.inconclusive, Some(InconclusiveReason::AllPassed));
+        assert!(robust.candidates.is_empty());
+        assert_eq!(robust.retry_rounds, 0);
+        let reported = diagnose_reported(&plan, &truth, &CancelToken::new()).expect("live token");
+        assert_eq!(robust, reported);
     }
 
     #[test]
