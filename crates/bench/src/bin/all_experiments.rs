@@ -4,8 +4,8 @@
 //! Experiments are independent subprocesses, so they are fanned out
 //! across a small worker pool (capped at half the available cores so
 //! each experiment's own `run_parallel` sharding still has room).
-//! Results are reported in the fixed `EXPERIMENTS` order regardless of
-//! completion order.
+//! Results are reported in the order of
+//! [`scan_bench::experiments::ALL`] regardless of completion order.
 //!
 //! ```sh
 //! cargo run --release -p scan-bench --bin all_experiments [out_dir]
@@ -32,36 +32,7 @@ use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Every experiment binary, in reporting order.
-const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "figure3",
-    "figure5",
-    "clustering",
-    "ablation_ordering",
-    "ablation_misr",
-    "ablation_interval_count",
-    "ablation_xmask",
-    "ablation_chain_mask",
-    "multifault",
-    "noise_sweep",
-    "vectors",
-    "windows",
-    "adaptive_compare",
-    "dictionary",
-    "localization",
-    "two_faulty_cores",
-    "overhead",
-    "compactors",
-    "coverage",
-    "weighted",
-    "topoff",
-    "diagnosis_time",
-    "chain_defects",
-];
+use scan_bench::experiments::ALL;
 
 enum Outcome {
     Ok(PathBuf),
@@ -96,21 +67,18 @@ fn main() {
             other => out_dir = PathBuf::from(other),
         }
     }
+    let all = ALL.iter().map(|e| e.name);
     let experiments: Vec<&str> = match &only {
         Some(names) => {
             for name in names {
-                if !EXPERIMENTS.contains(&name.as_str()) {
+                if scan_bench::experiments::find(name).is_none() {
                     eprintln!("error: unknown experiment `{name}` in --only");
                     std::process::exit(2);
                 }
             }
-            EXPERIMENTS
-                .iter()
-                .copied()
-                .filter(|e| names.iter().any(|n| n == e))
-                .collect()
+            all.filter(|e| names.iter().any(|n| n == e)).collect()
         }
-        None => EXPERIMENTS.to_vec(),
+        None => all.collect(),
     };
     if experiments.is_empty() {
         eprintln!("error: --only selected no experiments");

@@ -9,47 +9,27 @@
 //! banners or diagnostics to stdout fails here. A bad flag or an
 //! argument the binary does not take exits 2, also before any work.
 
+use std::path::PathBuf;
 use std::process::Command;
 
-/// Every binary in `src/bin`, paired with its compiled path. The env
-/// vars are set by cargo for integration tests, so a new binary that
-/// is not added here is caught by `all_binaries_are_listed`.
-const BINS: &[(&str, &str)] = &[
-    (
-        "ablation_chain_mask",
-        env!("CARGO_BIN_EXE_ablation_chain_mask"),
-    ),
-    (
-        "ablation_interval_count",
-        env!("CARGO_BIN_EXE_ablation_interval_count"),
-    ),
-    ("ablation_misr", env!("CARGO_BIN_EXE_ablation_misr")),
-    ("ablation_ordering", env!("CARGO_BIN_EXE_ablation_ordering")),
-    ("ablation_xmask", env!("CARGO_BIN_EXE_ablation_xmask")),
-    ("adaptive_compare", env!("CARGO_BIN_EXE_adaptive_compare")),
-    ("all_experiments", env!("CARGO_BIN_EXE_all_experiments")),
-    ("chain_defects", env!("CARGO_BIN_EXE_chain_defects")),
-    ("clustering", env!("CARGO_BIN_EXE_clustering")),
-    ("compactors", env!("CARGO_BIN_EXE_compactors")),
-    ("coverage", env!("CARGO_BIN_EXE_coverage")),
-    ("diagnosis_time", env!("CARGO_BIN_EXE_diagnosis_time")),
-    ("dictionary", env!("CARGO_BIN_EXE_dictionary")),
-    ("figure3", env!("CARGO_BIN_EXE_figure3")),
-    ("figure5", env!("CARGO_BIN_EXE_figure5")),
-    ("localization", env!("CARGO_BIN_EXE_localization")),
-    ("multifault", env!("CARGO_BIN_EXE_multifault")),
-    ("noise_sweep", env!("CARGO_BIN_EXE_noise_sweep")),
-    ("overhead", env!("CARGO_BIN_EXE_overhead")),
-    ("table1", env!("CARGO_BIN_EXE_table1")),
-    ("table2", env!("CARGO_BIN_EXE_table2")),
-    ("table3", env!("CARGO_BIN_EXE_table3")),
-    ("table4", env!("CARGO_BIN_EXE_table4")),
-    ("topoff", env!("CARGO_BIN_EXE_topoff")),
-    ("two_faulty_cores", env!("CARGO_BIN_EXE_two_faulty_cores")),
-    ("vectors", env!("CARGO_BIN_EXE_vectors")),
-    ("weighted", env!("CARGO_BIN_EXE_weighted")),
-    ("windows", env!("CARGO_BIN_EXE_windows")),
-];
+use scan_bench::experiments::ALL;
+
+/// Every binary in `src/bin`, paired with its compiled path: the
+/// experiments in [`ALL`] plus the orchestrator. Cargo builds them all
+/// next to `all_experiments` before it runs integration tests, so a
+/// registry entry without a binary, or a binary without an entry, is
+/// caught by `all_binaries_are_listed`.
+fn bins() -> Vec<(&'static str, PathBuf)> {
+    let orchestrator = std::path::Path::new(env!("CARGO_BIN_EXE_all_experiments"));
+    ALL.iter()
+        .map(|e| e.name)
+        .chain(["all_experiments"])
+        .map(|name| {
+            let file = format!("{name}{}", std::env::consts::EXE_SUFFIX);
+            (name, orchestrator.with_file_name(file))
+        })
+        .collect()
+}
 
 #[test]
 fn all_binaries_are_listed() {
@@ -65,18 +45,18 @@ fn all_binaries_are_listed() {
             })
             .collect();
     on_disk.sort();
-    let mut listed: Vec<String> = BINS.iter().map(|(name, _)| (*name).to_owned()).collect();
+    let mut listed: Vec<String> = bins().iter().map(|(name, _)| (*name).to_owned()).collect();
     listed.sort();
     assert_eq!(
         on_disk, listed,
-        "src/bin and the harness list disagree — add the new binary to BINS"
+        "src/bin and experiments::ALL disagree — every experiment needs an ALL entry and a shim"
     );
 }
 
 #[test]
 fn help_exits_zero_with_clean_stdout() {
-    for (name, exe) in BINS {
-        let output = Command::new(exe)
+    for (name, exe) in bins() {
+        let output = Command::new(&exe)
             .arg("--help")
             .output()
             .unwrap_or_else(|e| panic!("{name}: failed to spawn: {e}"));
@@ -138,7 +118,7 @@ fn scan_lint_follows_the_same_help_contract() {
 #[test]
 fn short_help_matches_long_help() {
     // One representative is enough — the flag handling is shared code.
-    let (name, exe) = BINS[0];
+    let (name, exe) = &bins()[0];
     let long = Command::new(exe).arg("--help").output().expect("spawn");
     let short = Command::new(exe).arg("-h").output().expect("spawn");
     assert!(short.status.success(), "{name} -h failed");
