@@ -167,8 +167,7 @@ impl<'a> Podem<'a> {
                 self.netlist.driver(net),
                 Driver::PrimaryInput | Driver::Dff(_)
             ) {
-                self.values[net.index()] =
-                    inject(self.values[net.index()], fault.stuck);
+                self.values[net.index()] = inject(self.values[net.index()], fault.stuck);
             }
         }
         let mut inputs: Vec<V5> = Vec::with_capacity(4);
@@ -198,12 +197,7 @@ impl<'a> Podem<'a> {
             .outputs()
             .iter()
             .map(|&net| self.values[net.index()])
-            .chain(
-                self.netlist
-                    .dffs()
-                    .iter()
-                    .map(|d| self.values[d.d.index()]),
-            )
+            .chain(self.netlist.dffs().iter().map(|d| self.values[d.d.index()]))
             .any(V5::is_fault_effect)
     }
 
@@ -236,11 +230,7 @@ impl<'a> Podem<'a> {
         if let FaultSite::Pin { gate, .. } = fault.site {
             let g = self.netlist.gate(gate);
             if self.values[g.output.index()] == V5::X {
-                if let Some(&x_input) = g
-                    .inputs
-                    .iter()
-                    .find(|n| self.values[n.index()] == V5::X)
-                {
+                if let Some(&x_input) = g.inputs.iter().find(|n| self.values[n.index()] == V5::X) {
                     let non_controlling = g.kind.controlling_value().is_none_or(|c| !c);
                     return Some((x_input, non_controlling));
                 }
@@ -259,15 +249,8 @@ impl<'a> Podem<'a> {
             if !has_effect {
                 continue;
             }
-            if let Some(&x_input) = gate
-                .inputs
-                .iter()
-                .find(|n| self.values[n.index()] == V5::X)
-            {
-                let non_controlling = gate
-                    .kind
-                    .controlling_value()
-                    .is_none_or(|c| !c);
+            if let Some(&x_input) = gate.inputs.iter().find(|n| self.values[n.index()] == V5::X) {
+                let non_controlling = gate.kind.controlling_value().is_none_or(|c| !c);
                 return Some((x_input, non_controlling));
             }
         }

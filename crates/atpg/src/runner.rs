@@ -62,7 +62,10 @@ pub fn run_atpg(netlist: &Netlist, limits: &PodemLimits, x_fill_seed: u64) -> At
     let universe = FaultUniverse::collapsed(netlist);
     let faults: Vec<Fault> = universe.faults().to_vec();
     let view = ScanView::natural(netlist, true);
-    let mut alive: Vec<bool> = faults.iter().map(|f| scan_sim::site_has_fanout(netlist, f)).collect();
+    let mut alive: Vec<bool> = faults
+        .iter()
+        .map(|f| scan_sim::site_has_fanout(netlist, f))
+        .collect();
     // Faults with no fanout are structurally undetectable; count them
     // as redundant up front.
     let mut redundant = alive.iter().filter(|&&a| !a).count();

@@ -142,10 +142,9 @@ impl MisrModel {
     where
         I: IntoIterator<Item = (u64, u32)>,
     {
-        bits.into_iter()
-            .fold(0u64, |acc, (clock, stage)| {
-                acc ^ self.contribution(total_clocks, clock, stage)
-            })
+        bits.into_iter().fold(0u64, |acc, (clock, stage)| {
+            acc ^ self.contribution(total_clocks, clock, stage)
+        })
     }
 }
 

@@ -93,12 +93,17 @@ fn add(a: HardwareCost, b: HardwareCost) -> HardwareCost {
 #[must_use]
 pub fn random_selection_cost(spec: &SelectionHardwareSpec) -> HardwareCost {
     let degree = spec.lfsr_degree as usize;
-    let taps = primitive_poly(spec.lfsr_degree)
-        .map_or(2, |p| p.count_ones() as usize - 2);
+    let taps = primitive_poly(spec.lfsr_degree).map_or(2, |p| p.count_ones() as usize - 2);
     let label_bits = bits_for(usize::from(spec.groups.max(2)) - 1).max(1);
     let mut cost = HardwareCost::default();
     cost = add(cost, register(degree)); // LFSR
-    cost = add(cost, HardwareCost { flip_flops: 0, gates: taps }); // feedback
+    cost = add(
+        cost,
+        HardwareCost {
+            flip_flops: 0,
+            gates: taps,
+        },
+    ); // feedback
     cost = add(cost, register(degree)); // IVR
     cost = add(cost, counter(bits_for(spec.num_patterns))); // Pattern Counter
     cost = add(cost, counter(bits_for(spec.chain_len))); // Shift Counter 1
@@ -117,7 +122,7 @@ pub fn two_step_cost(spec: &SelectionHardwareSpec) -> HardwareCost {
     let mut cost = random_selection_cost(spec);
     cost = add(cost, counter(spec.length_bits as usize)); // Shift Counter 2
     cost = add(cost, counter(label_bits)); // Test Counter 2
-    // zero-detect on both counters: a NOR tree each.
+                                           // zero-detect on both counters: a NOR tree each.
     cost.gates += (spec.length_bits as usize).saturating_sub(1) + label_bits.saturating_sub(1) + 2;
     cost
 }

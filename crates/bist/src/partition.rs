@@ -234,7 +234,10 @@ fn label_bits_for(groups: u16) -> u32 {
     if groups <= 1 {
         1
     } else {
-        u32::from(groups).next_power_of_two().trailing_zeros().max(1)
+        u32::from(groups)
+            .next_power_of_two()
+            .trailing_zeros()
+            .max(1)
     }
 }
 
@@ -252,10 +255,7 @@ fn label_bits_for(groups: u16) -> u32 {
 /// # Panics
 ///
 /// Panics if the configuration is invalid.
-pub fn interval_partition(
-    config: &PartitionConfig,
-    salt: u64,
-) -> Result<Partition, FindSeedError> {
+pub fn interval_partition(config: &PartitionConfig, salt: u64) -> Result<Partition, FindSeedError> {
     config.validate();
     if config.groups == 1 {
         return Ok(Partition::from_assignment(1, vec![0; config.chain_len]));
@@ -333,7 +333,11 @@ impl Scheme {
 ///
 /// Panics if the configuration is invalid.
 #[must_use]
-pub fn generate_partitions(config: &PartitionConfig, scheme: Scheme, count: usize) -> Vec<Partition> {
+pub fn generate_partitions(
+    config: &PartitionConfig,
+    scheme: Scheme,
+    count: usize,
+) -> Vec<Partition> {
     config.validate();
     let _span = scan_obs::span!("generate_partitions");
     let parts = generate_partitions_inner(config, scheme, count);

@@ -166,7 +166,8 @@ mod tests {
         let config = PartitionConfig::new(chain_len, groups);
         let parts = random_selection_partitions(&config, 3);
         let lfsr = Lfsr::new(config.lfsr_degree).unwrap();
-        let mut hw = SelectionHardware::new(lfsr, config.seed, groups, SelectionMode::RandomSelection);
+        let mut hw =
+            SelectionHardware::new(lfsr, config.seed, groups, SelectionMode::RandomSelection);
         for part in &parts {
             for g in 0..groups {
                 let mask = hw.session_mask(g, chain_len);

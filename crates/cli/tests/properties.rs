@@ -6,8 +6,8 @@
 use scan_rng::testkit::Runner;
 
 use scan_bist_cli::json::JsonObject;
-use scan_obs::json::escape;
 use scan_bist_cli::{parse_args, parse_invocation, Command};
+use scan_obs::json::escape;
 
 /// Arbitrary argument vectors never panic the parser — they parse or
 /// produce a readable error.
@@ -155,8 +155,8 @@ fn obs_query_counter_sums_match_snapshot_totals() {
     use scan_obs::query::{Agg, QuerySpec};
 
     const NAME_CHARS: [char; 28] = [
-        'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j', 'k', 'l', 'm', 'n', 'o', 'p', 'q',
-        'r', 's', 't', 'u', 'v', 'w', 'x', 'y', 'z', '.', '_',
+        'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j', 'k', 'l', 'm', 'n', 'o', 'p', 'q', 'r',
+        's', 't', 'u', 'v', 'w', 'x', 'y', 'z', '.', '_',
     ];
     let case = std::sync::atomic::AtomicU32::new(0);
     Runner::new(48).run("obs_query_counter_sums_match_snapshot_totals", |g| {
@@ -211,7 +211,8 @@ fn obs_query_counter_sums_match_snapshot_totals() {
             );
             streams[i % stream_count].push_str(&line);
         }
-        streams[0].push_str("{\"type\":\"span\",\"path\":\"noise/work\",\"start_ns\":1,\"dur_ns\":5}\n");
+        streams[0]
+            .push_str("{\"type\":\"span\",\"path\":\"noise/work\",\"start_ns\":1,\"dur_ns\":5}\n");
         let dir = std::env::temp_dir();
         let files: Vec<std::path::PathBuf> = streams
             .iter()

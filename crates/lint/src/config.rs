@@ -245,9 +245,7 @@ fn path_has_prefix(path: &str, prefix: &str) -> bool {
 }
 
 fn is_rule_id(text: &str) -> bool {
-    text.len() == 4
-        && text.starts_with('L')
-        && text[1..].chars().all(|c| c.is_ascii_digit())
+    text.len() == 4 && text.starts_with('L') && text[1..].chars().all(|c| c.is_ascii_digit())
 }
 
 fn finish_allow(
@@ -360,8 +358,7 @@ paths = ["crates/bench", "examples/demo.rs"]
         )
         .unwrap();
         assert_eq!(config.panic_roots.len(), 2);
-        assert!(config.panic_roots[0]
-            .matches("crates/daemon/src/server.rs", "handle_connection"));
+        assert!(config.panic_roots[0].matches("crates/daemon/src/server.rs", "handle_connection"));
         assert!(!config.panic_roots[0].matches("crates/daemon/src/cache.rs", "handle_connection"));
         assert!(config.panic_roots[1].matches("anywhere.rs", "install"));
         assert!(Config::parse("[roots]\npanic_freedom = [\"bad::\"]\n").is_err());

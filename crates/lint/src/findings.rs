@@ -128,9 +128,16 @@ impl LintReport {
             suppressed,
         );
         if self.unsafe_sites.is_empty() {
-            let _ = writeln!(out, "unsafe inventory: 0 site(s) — workspace is unsafe-free");
+            let _ = writeln!(
+                out,
+                "unsafe inventory: 0 site(s) — workspace is unsafe-free"
+            );
         } else {
-            let _ = writeln!(out, "unsafe inventory: {} site(s):", self.unsafe_sites.len());
+            let _ = writeln!(
+                out,
+                "unsafe inventory: {} site(s):",
+                self.unsafe_sites.len()
+            );
             for (file, line) in &self.unsafe_sites {
                 let _ = writeln!(out, "    {file}:{line}");
             }

@@ -502,7 +502,11 @@ mod tests {
                 "scan_a",
                 "pub fn entry() { shared_helper(); }",
             ),
-            ("crates/a/src/util.rs", "scan_a", "pub fn shared_helper() {}"),
+            (
+                "crates/a/src/util.rs",
+                "scan_a",
+                "pub fn shared_helper() {}",
+            ),
         ]);
         let from = idx(&g, "scan_a::entry");
         assert_eq!(g.edges[from].len(), 1);

@@ -241,7 +241,10 @@ pub fn build_file_model(file: &str, crate_ident: &str, tokens: &[Token]) -> File
         let t = sig[i];
 
         if t.kind == TokenKind::Ident
-            && t.text.chars().next().is_some_and(|c| c.is_ascii_uppercase())
+            && t.text
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_uppercase())
         {
             model.type_idents.insert(t.text.clone());
         }
@@ -565,7 +568,12 @@ fn parse_use(sig: &[&Token], start: usize, out: &mut Vec<UsePath>) -> usize {
     j + 1
 }
 
-fn parse_use_tree(sig: &[&Token], mut j: usize, prefix: &[String], out: &mut Vec<UsePath>) -> usize {
+fn parse_use_tree(
+    sig: &[&Token],
+    mut j: usize,
+    prefix: &[String],
+    out: &mut Vec<UsePath>,
+) -> usize {
     let mut segs: Vec<String> = prefix.to_vec();
     while j < sig.len() {
         let t = sig[j];
@@ -638,7 +646,14 @@ fn record_body_ident(
 
     if next_bang {
         if PANIC_MACROS.contains(&t.text.as_str()) {
-            push_fact(item, FactKind::Panic, format!("{}!", t.text), t, under_span, fenced);
+            push_fact(
+                item,
+                FactKind::Panic,
+                format!("{}!", t.text),
+                t,
+                under_span,
+                fenced,
+            );
         } else if t.is_ident("span") && !prev_dot {
             // `span!(...)` — guard bound with `let`-like scope: the macro
             // expands to a RAII guard live until the enclosing block ends.
@@ -670,7 +685,14 @@ fn record_body_ident(
                 // this workspace), e.g. the JSON parser's
                 // `fn expect(&mut self, b: u8) -> Result<..>`.
                 if !(i >= 2 && sig[i - 2].is_ident("self")) {
-                    push_fact(item, FactKind::Panic, format!(".{}()", t.text), t, under_span, fenced);
+                    push_fact(
+                        item,
+                        FactKind::Panic,
+                        format!(".{}()", t.text),
+                        t,
+                        under_span,
+                        fenced,
+                    );
                 }
                 return;
             }
@@ -719,9 +741,23 @@ fn record_body_ident(
     } else if t.is_ident("thread_rng") || t.is_ident("from_entropy") {
         push_fact(item, FactKind::Rng, t.text.clone(), t, under_span, fenced);
     } else if t.is_ident("rand") && next_colons {
-        push_fact(item, FactKind::Rng, "rand::".to_string(), t, under_span, fenced);
+        push_fact(
+            item,
+            FactKind::Rng,
+            "rand::".to_string(),
+            t,
+            under_span,
+            fenced,
+        );
     } else if t.is_ident("HashMap") || t.is_ident("HashSet") {
-        push_fact(item, FactKind::Unordered, t.text.clone(), t, under_span, fenced);
+        push_fact(
+            item,
+            FactKind::Unordered,
+            t.text.clone(),
+            t,
+            under_span,
+            fenced,
+        );
     }
 
     if let Some(what) = io_token(sig, i) {
@@ -772,21 +808,27 @@ fn record_body_punct(sig: &[&Token], i: usize, item: &mut FnItem, under_span: bo
                 || sig[i - 1].is_punct(']'));
         // `s[1]` — a bare integer-literal index is fixed-size array
         // state access, bounds-checked at compile time; don't flag it.
-        let literal_index = sig
-            .get(i + 1)
-            .is_some_and(|n| n.kind == TokenKind::Literal && n.text.starts_with(|c: char| c.is_ascii_digit()))
-            && sig.get(i + 2).is_some_and(|n| n.is_punct(']'));
+        let literal_index = sig.get(i + 1).is_some_and(|n| {
+            n.kind == TokenKind::Literal && n.text.starts_with(|c: char| c.is_ascii_digit())
+        }) && sig.get(i + 2).is_some_and(|n| n.is_punct(']'));
         if indexable && !literal_index && !sig[i - 1].is_ident("in") {
-            push_fact(item, FactKind::Panic, "index".to_string(), t, under_span, fenced);
+            push_fact(
+                item,
+                FactKind::Panic,
+                "index".to_string(),
+                t,
+                under_span,
+                fenced,
+            );
         }
     } else if (t.is_punct('/') || t.is_punct('%')) && prev_is_value {
         // Division/remainder by a literal can't panic (checked at build
         // time for zero), and float division never panics — a float
         // value on the left (`1.5 / x`, `1e9 / x`, `a as f64 / x`) pins
         // the type. Only flag symbolic integer-looking divisors.
-        let next_literal = sig
-            .get(i + 1)
-            .is_some_and(|n| n.kind == TokenKind::Literal && n.text.starts_with(|c: char| c.is_ascii_digit()));
+        let next_literal = sig.get(i + 1).is_some_and(|n| {
+            n.kind == TokenKind::Literal && n.text.starts_with(|c: char| c.is_ascii_digit())
+        });
         let float_lhs = (sig[i - 1].kind == TokenKind::Literal
             && sig[i - 1].text.starts_with(|c: char| c.is_ascii_digit())
             && !sig[i - 1].text.starts_with("0x")
@@ -795,7 +837,14 @@ fn record_body_punct(sig: &[&Token], i: usize, item: &mut FnItem, under_span: bo
             || sig[i - 1].is_ident("f32");
         if !next_literal && !float_lhs {
             let what = if t.is_punct('/') { "div" } else { "rem" };
-            push_fact(item, FactKind::Panic, what.to_string(), t, under_span, fenced);
+            push_fact(
+                item,
+                FactKind::Panic,
+                what.to_string(),
+                t,
+                under_span,
+                fenced,
+            );
         }
     }
 }
@@ -856,7 +905,11 @@ fn lock_target_name(sig: &[&Token], lock_idx: usize) -> String {
         return t.text.clone();
     }
     if t.is_punct(')') || t.is_punct(']') {
-        let (open, close) = if t.is_punct(')') { ('(', ')') } else { ('[', ']') };
+        let (open, close) = if t.is_punct(')') {
+            ('(', ')')
+        } else {
+            ('[', ']')
+        };
         let mut depth = 1usize;
         while j > 0 {
             j -= 1;
@@ -1026,9 +1079,17 @@ mod tests {
              fn run(a: u32) {}\nfn after() {}\n",
         );
         let f = fn_named(&m, "w");
-        let run_call = f.calls.iter().find(|c| c.path == vec!["run".to_string()]).unwrap();
+        let run_call = f
+            .calls
+            .iter()
+            .find(|c| c.path == vec!["run".to_string()])
+            .unwrap();
         assert!(run_call.fenced);
-        let after_call = f.calls.iter().find(|c| c.path == vec!["after".to_string()]).unwrap();
+        let after_call = f
+            .calls
+            .iter()
+            .find(|c| c.path == vec!["after".to_string()])
+            .unwrap();
         assert!(!after_call.fenced);
         let index = f
             .facts

@@ -24,12 +24,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The deterministic crates whose iteration order is contractual
 /// (serial vs parallel bit-identity, pinned RNG streams).
-const DETERMINISTIC_CRATES: &[&str] = &[
-    "crates/core/",
-    "crates/sim/",
-    "crates/bist/",
-    "crates/soc/",
-];
+const DETERMINISTIC_CRATES: &[&str] =
+    &["crates/core/", "crates/sim/", "crates/bist/", "crates/soc/"];
 
 /// Crates allowed to read wall clocks: the timing harness, the
 /// observability layer (monotonic span timing), and the daemon
@@ -40,7 +36,11 @@ const WALL_CLOCK_CRATES: &[&str] = &["crates/bench/", "crates/obs/", "crates/dae
 /// payload channel), the experiment bins (same contract, enforced
 /// end-to-end by `crates/bench/tests/bin_stdout.rs`), and the load
 /// generator bin (scenario summaries are its payload).
-const STDOUT_PATHS: &[&str] = &["crates/cli/", "crates/bench/src/bin/", "crates/daemon/src/bin/"];
+const STDOUT_PATHS: &[&str] = &[
+    "crates/cli/",
+    "crates/bench/src/bin/",
+    "crates/daemon/src/bin/",
+];
 
 /// Paths where every work queue must be explicitly bounded: the
 /// daemon's admission path. `VecDeque` grows without limit and
@@ -221,7 +221,10 @@ pub fn check_rust(file: &str, tokens: &[Token]) -> (Vec<Finding>, Vec<u32>) {
                     file,
                     token.line,
                     token.col,
-                    format!("`{}::now` read outside crates/bench and crates/obs", token.text),
+                    format!(
+                        "`{}::now` read outside crates/bench and crates/obs",
+                        token.text
+                    ),
                     "time kernels in scan_bench::suite or with scan-obs spans",
                 ));
             }
@@ -251,8 +254,7 @@ pub fn check_rust(file: &str, tokens: &[Token]) -> (Vec<Finding>, Vec<u32>) {
                         file,
                         token.line,
                         token.col,
-                        "`unsafe` without a `// SAFETY:` comment in the 3 lines above"
-                            .to_owned(),
+                        "`unsafe` without a `// SAFETY:` comment in the 3 lines above".to_owned(),
                         "state the invariant that makes this sound in a // SAFETY: comment",
                     ));
                 }
@@ -291,7 +293,10 @@ pub fn check_rust(file: &str, tokens: &[Token]) -> (Vec<Finding>, Vec<u32>) {
                     file,
                     name_token.line,
                     name_token.col,
-                    format!("pub error enum `{}` is exhaustively matchable", name_token.text),
+                    format!(
+                        "pub error enum `{}` is exhaustively matchable",
+                        name_token.text
+                    ),
                     "add #[non_exhaustive] so new failure modes are not breaking changes",
                 ));
             }
@@ -566,12 +571,7 @@ fn check_l009(graph: &Graph, adj: &[Vec<usize>], masked: &[bool]) -> Vec<Finding
 /// outside `#[cfg(test)]`. Each finding sits at the panic site and
 /// carries the full witness call chain from the root. Inert when no
 /// roots are configured.
-fn check_l012(
-    graph: &Graph,
-    adj: &[Vec<usize>],
-    masked: &[bool],
-    config: &Config,
-) -> Vec<Finding> {
+fn check_l012(graph: &Graph, adj: &[Vec<usize>], masked: &[bool], config: &Config) -> Vec<Finding> {
     if config.panic_roots.is_empty() {
         return Vec::new();
     }
@@ -831,10 +831,9 @@ fn check_l014(graph: &Graph, adj: &[Vec<usize>], masked: &[bool]) -> Vec<Finding
             let (flagged, label) = match fact.kind {
                 FactKind::Rng => (true, "ambient RNG"),
                 FactKind::Clock => (!under(&node.file, WALL_CLOCK_CRATES), "wall clock"),
-                FactKind::Unordered => (
-                    !under(&node.file, WALL_CLOCK_CRATES),
-                    "unordered iteration",
-                ),
+                FactKind::Unordered => {
+                    (!under(&node.file, WALL_CLOCK_CRATES), "unordered iteration")
+                }
                 _ => (false, ""),
             };
             if !flagged || !seen.insert((node.file.clone(), fact.line, fact.col)) {
@@ -1064,7 +1063,10 @@ mod tests {
     #[test]
     fn l003_scoped_to_non_timing_crates() {
         let source = "let t = Instant::now();";
-        assert_eq!(rules_of(&rust_findings("crates/core/src/a.rs", source)), vec!["L003"]);
+        assert_eq!(
+            rules_of(&rust_findings("crates/core/src/a.rs", source)),
+            vec!["L003"]
+        );
         assert!(rust_findings("crates/bench/src/suite.rs", source).is_empty());
         assert!(rust_findings("crates/obs/src/span.rs", source).is_empty());
         // `Instant::elapsed` etc. without `now` is fine.
@@ -1074,8 +1076,14 @@ mod tests {
     #[test]
     fn l004_scoped_to_deterministic_crates() {
         let source = "use std::collections::HashMap;";
-        assert_eq!(rules_of(&rust_findings("crates/core/src/a.rs", source)), vec!["L004"]);
-        assert_eq!(rules_of(&rust_findings("crates/soc/tests/t.rs", source)), vec!["L004"]);
+        assert_eq!(
+            rules_of(&rust_findings("crates/core/src/a.rs", source)),
+            vec!["L004"]
+        );
+        assert_eq!(
+            rules_of(&rust_findings("crates/soc/tests/t.rs", source)),
+            vec!["L004"]
+        );
         assert!(rust_findings("crates/netlist/src/a.rs", source).is_empty());
         assert!(rust_findings("crates/obs/src/a.rs", source).is_empty());
     }
@@ -1107,7 +1115,10 @@ mod tests {
         assert!(rust_findings("crates/bench/src/bin/table1.rs", source).is_empty());
         // The bench *library* is not exempt.
         assert_eq!(
-            rules_of(&rust_findings("crates/bench/src/suite.rs", "println!(\"t\");")),
+            rules_of(&rust_findings(
+                "crates/bench/src/suite.rs",
+                "println!(\"t\");"
+            )),
             vec!["L006"]
         );
     }
@@ -1115,7 +1126,10 @@ mod tests {
     #[test]
     fn l007_checks_attributes() {
         let bad = "#[derive(Clone, Debug)]\npub enum ParseError { Bad }";
-        assert_eq!(rules_of(&rust_findings("crates/x/src/a.rs", bad)), vec!["L007"]);
+        assert_eq!(
+            rules_of(&rust_findings("crates/x/src/a.rs", bad)),
+            vec!["L007"]
+        );
 
         let good = "#[derive(Clone)]\n#[non_exhaustive]\npub enum ParseError { Bad }";
         assert!(rust_findings("crates/x/src/a.rs", good).is_empty());
@@ -1132,7 +1146,10 @@ mod tests {
     #[test]
     fn l008_flags_free_calls_only() {
         let free = "let d = diagnose(&plan, &outcome);";
-        assert_eq!(rules_of(&rust_findings("crates/bench/src/bin/x.rs", free)), vec!["L008"]);
+        assert_eq!(
+            rules_of(&rust_findings("crates/bench/src/bin/x.rs", free)),
+            vec!["L008"]
+        );
         assert!(rust_findings("crates/core/src/experiment.rs", free).is_empty());
         assert!(rust_findings("crates/x/src/a.rs", "let d = tester.diagnose(&f);").is_empty());
         assert!(rust_findings("crates/x/src/a.rs", "pub fn diagnose(x: u8) {}").is_empty());
@@ -1250,10 +1267,9 @@ mod tests {
 
     #[test]
     fn l012_panic_reachability_with_witness_chain() {
-        let config = Config::parse(
-            "[roots]\npanic_freedom = [\"crates/daemon/src/server.rs::handle\"]\n",
-        )
-        .unwrap();
+        let config =
+            Config::parse("[roots]\npanic_freedom = [\"crates/daemon/src/server.rs::handle\"]\n")
+                .unwrap();
         let server = "pub fn handle(req: Req) -> Resp { plan_build(req) }";
         let core = "pub fn plan_build(req: Req) -> Resp { req.parts.first().unwrap() }";
         let f = semantic(
@@ -1297,18 +1313,15 @@ mod tests {
                  let c = s.cache.lock();\n\
                  let q = s.queue.lock();\n\
                  }";
-        let f = semantic_default(&[
-            ("crates/daemon/src/a.rs", a),
-            ("crates/daemon/src/b.rs", b),
-        ]);
+        let f = semantic_default(&[("crates/daemon/src/a.rs", a), ("crates/daemon/src/b.rs", b)]);
         let l013: Vec<&Finding> = f.iter().filter(|x| x.rule == "L013").collect();
         assert_eq!(l013.len(), 2, "{f:?}");
         // One witness spans two files (queue held in a.rs, cache
         // acquired in b.rs), the other is the direct pair in b.rs.
-        assert!(l013
-            .iter()
-            .any(|x| x.chain.iter().any(|h| h.file == "crates/daemon/src/a.rs")
-                && x.chain.iter().any(|h| h.file == "crates/daemon/src/b.rs")));
+        assert!(l013.iter().any(
+            |x| x.chain.iter().any(|h| h.file == "crates/daemon/src/a.rs")
+                && x.chain.iter().any(|h| h.file == "crates/daemon/src/b.rs")
+        ));
 
         // A consistent global order produces no findings.
         let consistent = "pub fn f(s: &S) { let q = s.queue.lock(); let c = s.cache.lock(); }\n\
@@ -1418,7 +1431,10 @@ mod tests {
         assert!(rust_findings("crates/daemon/src/bin/loadgen.rs", "println!(\"x\");").is_empty());
         // The daemon library still must not print to stdout.
         assert_eq!(
-            rules_of(&rust_findings("crates/daemon/src/server.rs", "println!(\"x\");")),
+            rules_of(&rust_findings(
+                "crates/daemon/src/server.rs",
+                "println!(\"x\");"
+            )),
             vec!["L006"]
         );
     }

@@ -25,7 +25,10 @@ pub struct SourceFile {
 /// # Errors
 ///
 /// Returns the first directory-read error encountered.
-pub fn collect(root: &Path, config: &Config) -> std::io::Result<(Vec<SourceFile>, Vec<SourceFile>)> {
+pub fn collect(
+    root: &Path,
+    config: &Config,
+) -> std::io::Result<(Vec<SourceFile>, Vec<SourceFile>)> {
     let mut rust = Vec::new();
     let mut manifests = Vec::new();
     walk_dir(root, root, config, &mut rust, &mut manifests)?;

@@ -28,8 +28,16 @@ fn workspace_is_lint_clean_under_deny() {
         unsuppressed.join("\n")
     );
     // Sanity: the walk actually covered the workspace.
-    assert!(report.rust_files > 100, "walked {} files", report.rust_files);
-    assert!(report.manifests >= 10, "walked {} manifests", report.manifests);
+    assert!(
+        report.rust_files > 100,
+        "walked {} files",
+        report.rust_files
+    );
+    assert!(
+        report.manifests >= 10,
+        "walked {} manifests",
+        report.manifests
+    );
     // The semantic layer must not be vacuous: the call graph links real
     // cross-function edges, and the checked-in config declares the
     // panic-freedom roots the daemon's liveness story rests on.

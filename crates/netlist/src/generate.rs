@@ -57,49 +57,271 @@ pub struct CircuitProfile {
 /// Interface statistics of the ISCAS-89 benchmark family (from the
 /// benchmark documentation; gate counts include inverters).
 pub const ISCAS89_PROFILES: &[CircuitProfile] = &[
-    CircuitProfile { name: "s27", inputs: 4, outputs: 1, dffs: 3, gates: 10 },
-    CircuitProfile { name: "s298", inputs: 3, outputs: 6, dffs: 14, gates: 119 },
-    CircuitProfile { name: "s344", inputs: 9, outputs: 11, dffs: 15, gates: 160 },
-    CircuitProfile { name: "s349", inputs: 9, outputs: 11, dffs: 15, gates: 161 },
-    CircuitProfile { name: "s382", inputs: 3, outputs: 6, dffs: 21, gates: 158 },
-    CircuitProfile { name: "s386", inputs: 7, outputs: 7, dffs: 6, gates: 159 },
-    CircuitProfile { name: "s400", inputs: 3, outputs: 6, dffs: 21, gates: 162 },
-    CircuitProfile { name: "s420", inputs: 18, outputs: 1, dffs: 16, gates: 218 },
-    CircuitProfile { name: "s444", inputs: 3, outputs: 6, dffs: 21, gates: 181 },
-    CircuitProfile { name: "s510", inputs: 19, outputs: 7, dffs: 6, gates: 211 },
-    CircuitProfile { name: "s526", inputs: 3, outputs: 6, dffs: 21, gates: 193 },
-    CircuitProfile { name: "s641", inputs: 35, outputs: 24, dffs: 19, gates: 379 },
-    CircuitProfile { name: "s713", inputs: 35, outputs: 23, dffs: 19, gates: 393 },
-    CircuitProfile { name: "s820", inputs: 18, outputs: 19, dffs: 5, gates: 289 },
-    CircuitProfile { name: "s832", inputs: 18, outputs: 19, dffs: 5, gates: 287 },
-    CircuitProfile { name: "s838", inputs: 34, outputs: 1, dffs: 32, gates: 446 },
-    CircuitProfile { name: "s953", inputs: 16, outputs: 23, dffs: 29, gates: 395 },
-    CircuitProfile { name: "s1196", inputs: 14, outputs: 14, dffs: 18, gates: 529 },
-    CircuitProfile { name: "s1238", inputs: 14, outputs: 14, dffs: 18, gates: 508 },
-    CircuitProfile { name: "s1423", inputs: 17, outputs: 5, dffs: 74, gates: 657 },
-    CircuitProfile { name: "s5378", inputs: 35, outputs: 49, dffs: 179, gates: 2779 },
-    CircuitProfile { name: "s9234", inputs: 36, outputs: 39, dffs: 211, gates: 5597 },
-    CircuitProfile { name: "s13207", inputs: 62, outputs: 152, dffs: 638, gates: 7951 },
-    CircuitProfile { name: "s15850", inputs: 77, outputs: 150, dffs: 534, gates: 9772 },
-    CircuitProfile { name: "s35932", inputs: 35, outputs: 320, dffs: 1728, gates: 16065 },
-    CircuitProfile { name: "s38417", inputs: 28, outputs: 106, dffs: 1636, gates: 22179 },
-    CircuitProfile { name: "s38584", inputs: 38, outputs: 304, dffs: 1426, gates: 19253 },
+    CircuitProfile {
+        name: "s27",
+        inputs: 4,
+        outputs: 1,
+        dffs: 3,
+        gates: 10,
+    },
+    CircuitProfile {
+        name: "s298",
+        inputs: 3,
+        outputs: 6,
+        dffs: 14,
+        gates: 119,
+    },
+    CircuitProfile {
+        name: "s344",
+        inputs: 9,
+        outputs: 11,
+        dffs: 15,
+        gates: 160,
+    },
+    CircuitProfile {
+        name: "s349",
+        inputs: 9,
+        outputs: 11,
+        dffs: 15,
+        gates: 161,
+    },
+    CircuitProfile {
+        name: "s382",
+        inputs: 3,
+        outputs: 6,
+        dffs: 21,
+        gates: 158,
+    },
+    CircuitProfile {
+        name: "s386",
+        inputs: 7,
+        outputs: 7,
+        dffs: 6,
+        gates: 159,
+    },
+    CircuitProfile {
+        name: "s400",
+        inputs: 3,
+        outputs: 6,
+        dffs: 21,
+        gates: 162,
+    },
+    CircuitProfile {
+        name: "s420",
+        inputs: 18,
+        outputs: 1,
+        dffs: 16,
+        gates: 218,
+    },
+    CircuitProfile {
+        name: "s444",
+        inputs: 3,
+        outputs: 6,
+        dffs: 21,
+        gates: 181,
+    },
+    CircuitProfile {
+        name: "s510",
+        inputs: 19,
+        outputs: 7,
+        dffs: 6,
+        gates: 211,
+    },
+    CircuitProfile {
+        name: "s526",
+        inputs: 3,
+        outputs: 6,
+        dffs: 21,
+        gates: 193,
+    },
+    CircuitProfile {
+        name: "s641",
+        inputs: 35,
+        outputs: 24,
+        dffs: 19,
+        gates: 379,
+    },
+    CircuitProfile {
+        name: "s713",
+        inputs: 35,
+        outputs: 23,
+        dffs: 19,
+        gates: 393,
+    },
+    CircuitProfile {
+        name: "s820",
+        inputs: 18,
+        outputs: 19,
+        dffs: 5,
+        gates: 289,
+    },
+    CircuitProfile {
+        name: "s832",
+        inputs: 18,
+        outputs: 19,
+        dffs: 5,
+        gates: 287,
+    },
+    CircuitProfile {
+        name: "s838",
+        inputs: 34,
+        outputs: 1,
+        dffs: 32,
+        gates: 446,
+    },
+    CircuitProfile {
+        name: "s953",
+        inputs: 16,
+        outputs: 23,
+        dffs: 29,
+        gates: 395,
+    },
+    CircuitProfile {
+        name: "s1196",
+        inputs: 14,
+        outputs: 14,
+        dffs: 18,
+        gates: 529,
+    },
+    CircuitProfile {
+        name: "s1238",
+        inputs: 14,
+        outputs: 14,
+        dffs: 18,
+        gates: 508,
+    },
+    CircuitProfile {
+        name: "s1423",
+        inputs: 17,
+        outputs: 5,
+        dffs: 74,
+        gates: 657,
+    },
+    CircuitProfile {
+        name: "s5378",
+        inputs: 35,
+        outputs: 49,
+        dffs: 179,
+        gates: 2779,
+    },
+    CircuitProfile {
+        name: "s9234",
+        inputs: 36,
+        outputs: 39,
+        dffs: 211,
+        gates: 5597,
+    },
+    CircuitProfile {
+        name: "s13207",
+        inputs: 62,
+        outputs: 152,
+        dffs: 638,
+        gates: 7951,
+    },
+    CircuitProfile {
+        name: "s15850",
+        inputs: 77,
+        outputs: 150,
+        dffs: 534,
+        gates: 9772,
+    },
+    CircuitProfile {
+        name: "s35932",
+        inputs: 35,
+        outputs: 320,
+        dffs: 1728,
+        gates: 16065,
+    },
+    CircuitProfile {
+        name: "s38417",
+        inputs: 28,
+        outputs: 106,
+        dffs: 1636,
+        gates: 22179,
+    },
+    CircuitProfile {
+        name: "s38584",
+        inputs: 38,
+        outputs: 304,
+        dffs: 1426,
+        gates: 19253,
+    },
 ];
 
 /// Interface statistics of the ISCAS-85 combinational benchmark family
 /// (no flip-flops; the full d695 SOC includes two of these alongside
 /// the ISCAS-89 modules).
 pub const ISCAS85_PROFILES: &[CircuitProfile] = &[
-    CircuitProfile { name: "c432", inputs: 36, outputs: 7, dffs: 0, gates: 160 },
-    CircuitProfile { name: "c499", inputs: 41, outputs: 32, dffs: 0, gates: 202 },
-    CircuitProfile { name: "c880", inputs: 60, outputs: 26, dffs: 0, gates: 383 },
-    CircuitProfile { name: "c1355", inputs: 41, outputs: 32, dffs: 0, gates: 546 },
-    CircuitProfile { name: "c1908", inputs: 33, outputs: 25, dffs: 0, gates: 880 },
-    CircuitProfile { name: "c2670", inputs: 233, outputs: 140, dffs: 0, gates: 1193 },
-    CircuitProfile { name: "c3540", inputs: 50, outputs: 22, dffs: 0, gates: 1669 },
-    CircuitProfile { name: "c5315", inputs: 178, outputs: 123, dffs: 0, gates: 2307 },
-    CircuitProfile { name: "c6288", inputs: 32, outputs: 32, dffs: 0, gates: 2416 },
-    CircuitProfile { name: "c7552", inputs: 207, outputs: 108, dffs: 0, gates: 3512 },
+    CircuitProfile {
+        name: "c432",
+        inputs: 36,
+        outputs: 7,
+        dffs: 0,
+        gates: 160,
+    },
+    CircuitProfile {
+        name: "c499",
+        inputs: 41,
+        outputs: 32,
+        dffs: 0,
+        gates: 202,
+    },
+    CircuitProfile {
+        name: "c880",
+        inputs: 60,
+        outputs: 26,
+        dffs: 0,
+        gates: 383,
+    },
+    CircuitProfile {
+        name: "c1355",
+        inputs: 41,
+        outputs: 32,
+        dffs: 0,
+        gates: 546,
+    },
+    CircuitProfile {
+        name: "c1908",
+        inputs: 33,
+        outputs: 25,
+        dffs: 0,
+        gates: 880,
+    },
+    CircuitProfile {
+        name: "c2670",
+        inputs: 233,
+        outputs: 140,
+        dffs: 0,
+        gates: 1193,
+    },
+    CircuitProfile {
+        name: "c3540",
+        inputs: 50,
+        outputs: 22,
+        dffs: 0,
+        gates: 1669,
+    },
+    CircuitProfile {
+        name: "c5315",
+        inputs: 178,
+        outputs: 123,
+        dffs: 0,
+        gates: 2307,
+    },
+    CircuitProfile {
+        name: "c6288",
+        inputs: 32,
+        outputs: 32,
+        dffs: 0,
+        gates: 2416,
+    },
+    CircuitProfile {
+        name: "c7552",
+        inputs: 207,
+        outputs: 108,
+        dffs: 0,
+        gates: 3512,
+    },
 ];
 
 /// The six largest ISCAS-89 benchmarks, as used in Table 2 of the paper.
@@ -396,12 +618,13 @@ impl Picker {
     /// `pos`.
     fn set_window(&mut self, pos: f64, window: f64) {
         self.windows.clear();
-        self.windows.extend(self.layers.iter().map(|layer| LayerWindow {
-            lo: layer.nets.partition_point(|(p, _)| *p < pos - window),
-            hi: layer.nets.partition_point(|(p, _)| *p <= pos + window),
-            unread: 0,
-            read: 0,
-        }));
+        self.windows
+            .extend(self.layers.iter().map(|layer| LayerWindow {
+                lo: layer.nets.partition_point(|(p, _)| *p < pos - window),
+                hi: layer.nets.partition_point(|(p, _)| *p <= pos + window),
+                unread: 0,
+                read: 0,
+            }));
     }
 
     /// Picks `fanin` distinct nets from the accumulated layers,

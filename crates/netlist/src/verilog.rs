@@ -88,7 +88,13 @@ pub fn to_verilog(netlist: &Netlist) -> String {
 fn sanitize(name: &str) -> String {
     let mut ident: String = name
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     if ident.chars().next().is_none_or(|c| c.is_ascii_digit()) {
         ident.insert(0, 'n');
@@ -121,9 +127,11 @@ mod tests {
             .lines()
             .filter(|l| {
                 let t = l.trim_start();
-                ["and ", "nand ", "or ", "nor ", "xor ", "xnor ", "not ", "buf "]
-                    .iter()
-                    .any(|p| t.starts_with(p))
+                [
+                    "and ", "nand ", "or ", "nor ", "xor ", "xnor ", "not ", "buf ",
+                ]
+                .iter()
+                .any(|p| t.starts_with(p))
             })
             .count();
         assert_eq!(gate_lines, n.num_gates());

@@ -63,8 +63,7 @@ fn check_ndjson(path: &str, text: &str) -> Result<(), String> {
             continue;
         }
         lines += 1;
-        let value =
-            parse(line).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+        let value = parse(line).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
         if let Some(trace) = value.get("trace").and_then(Value::as_str) {
             match &stamp {
                 None => stamp = Some(trace.to_owned()),
@@ -84,13 +83,11 @@ fn check_ndjson(path: &str, text: &str) -> Result<(), String> {
         match kind {
             "meta" | "counter" | "hist" => {}
             "ts" => {
-                check_ts_event(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_ts_event(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
                 series += 1;
             }
             "context" => {
-                check_context_event(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_context_event(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
                 contexts += 1;
             }
             "span" => {
@@ -99,17 +96,11 @@ fn check_ndjson(path: &str, text: &str) -> Result<(), String> {
                 let path_ok = value.get("path").and_then(Value::as_str).is_some();
                 match (start, end, path_ok) {
                     (Some(s), Some(e), true) if s <= e => spans += 1,
-                    _ => {
-                        return Err(format!(
-                            "{path}:{}: malformed span event",
-                            index + 1
-                        ))
-                    }
+                    _ => return Err(format!("{path}:{}: malformed span event", index + 1)),
                 }
             }
             "fault" => {
-                check_fault_event(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_fault_event(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
                 faults += 1;
             }
             "retry" | "vote" | "fallback" => {
@@ -118,22 +109,18 @@ fn check_ndjson(path: &str, text: &str) -> Result<(), String> {
                 recoveries += 1;
             }
             "finding" => {
-                check_finding_event(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_finding_event(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
                 findings += 1;
             }
             "lint" => {
-                check_lint_summary(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_lint_summary(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
             }
             "graph_fn" => {
-                check_graph_fn(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_graph_fn(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
                 graph_fns += 1;
             }
             "graph_edge" => {
-                check_graph_edge(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_graph_edge(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
                 graph_edges += 1;
             }
             "graph" => {
@@ -141,22 +128,18 @@ fn check_ndjson(path: &str, text: &str) -> Result<(), String> {
                     .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
             }
             "alert" => {
-                check_alert_event(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_alert_event(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
                 alerts += 1;
             }
             "flight" => {
-                check_flight_event(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_flight_event(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
                 flights += 1;
             }
             "delta" => {
-                check_delta_event(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_delta_event(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
             }
             "tick" => {
-                check_tick_event(&value)
-                    .map_err(|e| format!("{path}:{}: {e}", index + 1))?;
+                check_tick_event(&value).map_err(|e| format!("{path}:{}: {e}", index + 1))?;
             }
             other => {
                 return Err(format!(
@@ -170,7 +153,9 @@ fn check_ndjson(path: &str, text: &str) -> Result<(), String> {
         return Err(format!("{path}: empty NDJSON stream"));
     }
     if contexts > 1 {
-        return Err(format!("{path}: {contexts} context records (want at most 1)"));
+        return Err(format!(
+            "{path}: {contexts} context records (want at most 1)"
+        ));
     }
     if flights > 1 {
         return Err(format!("{path}: {flights} flight headers (want at most 1)"));
@@ -308,7 +293,9 @@ fn check_context_event(value: &Value) -> Result<(), String> {
         .and_then(Value::as_str)
         .ok_or("context event missing string \"trace_id\"")?;
     if !scan_obs::context::is_valid_trace_id(trace_id) {
-        return Err(format!("context trace_id `{trace_id}` is not 16 hex digits"));
+        return Err(format!(
+            "context trace_id `{trace_id}` is not 16 hex digits"
+        ));
     }
     if value.get("process").and_then(Value::as_str).is_none() {
         return Err("context event missing string \"process\"".to_owned());
@@ -453,7 +440,13 @@ fn check_graph_summary(value: &Value, fns: usize, edges: usize) -> Result<(), St
 /// stream, even when the workspace is clean, so a lint export is never
 /// an empty NDJSON file.
 fn check_lint_summary(value: &Value) -> Result<(), String> {
-    for member in ["files", "manifests", "findings", "suppressed", "unsafe_sites"] {
+    for member in [
+        "files",
+        "manifests",
+        "findings",
+        "suppressed",
+        "unsafe_sites",
+    ] {
         let ok = value
             .get(member)
             .and_then(Value::as_f64)
@@ -516,7 +509,9 @@ fn check_fault_event(value: &Value) -> Result<(), String> {
 
 fn check_bench(path: &str, value: &Value) -> Result<(), String> {
     if value.get("version").and_then(Value::as_f64).is_none() {
-        return Err(format!("{path}: bench baseline missing numeric \"version\""));
+        return Err(format!(
+            "{path}: bench baseline missing numeric \"version\""
+        ));
     }
     let suite = value
         .get("suite")
@@ -641,8 +636,7 @@ fn check_metrics(path: &str, value: &Value) -> Result<(), String> {
 }
 
 fn check(path: &str) -> Result<(), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     if path.ends_with(".ndjson") {
         return check_ndjson(path, &text);
     }
@@ -675,8 +669,7 @@ struct JoinStream {
 }
 
 fn load_join_stream(path: &str) -> Result<JoinStream, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     // Full per-stream validation first, so join errors are about the
     // join, not about malformed lines.
     check_ndjson(path, &text)?;
@@ -756,8 +749,8 @@ fn check_join(paths: &[String]) -> Result<(), String> {
         let Some(parent_span) = &s.parent_span else {
             continue;
         };
-        let owner = (0..streams.len())
-            .find(|&j| j != i && streams[j].span_paths.contains(parent_span));
+        let owner =
+            (0..streams.len()).find(|&j| j != i && streams[j].span_paths.contains(parent_span));
         match owner {
             Some(j) => parent_of[i] = Some(j),
             None => {
@@ -773,16 +766,18 @@ fn check_join(paths: &[String]) -> Result<(), String> {
         let mut cursor = i;
         let mut hops = 0;
         while cursor != *root {
-            cursor = parent_of[cursor].ok_or_else(|| {
-                format!("{}: does not reach the root stream", s.path)
-            })?;
+            cursor = parent_of[cursor]
+                .ok_or_else(|| format!("{}: does not reach the root stream", s.path))?;
             hops += 1;
             if hops > streams.len() {
                 return Err(format!("{}: parent chain contains a cycle", s.path));
             }
         }
     }
-    eprintln!("obs-check: joined trace `{trace_id}` OK: {} process(es)", streams.len());
+    eprintln!(
+        "obs-check: joined trace `{trace_id}` OK: {} process(es)",
+        streams.len()
+    );
     for (i, s) in streams.iter().enumerate() {
         let indent = if i == *root { "" } else { "  " };
         match &s.parent_span {
@@ -801,8 +796,11 @@ fn http_request(addr: &str, method: &str, target: &str) -> Result<(u16, String),
         .map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
     conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
         .map_err(|e| e.to_string())?;
-    write!(conn, "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-        .map_err(|e| format!("write to `{addr}` failed: {e}"))?;
+    write!(
+        conn,
+        "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+    )
+    .map_err(|e| format!("write to `{addr}` failed: {e}"))?;
     let mut response = String::new();
     conn.read_to_string(&mut response)
         .map_err(|e| format!("read from `{addr}` failed: {e}"))?;

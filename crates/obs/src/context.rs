@@ -87,7 +87,10 @@ impl TraceContext {
 /// digits.
 #[must_use]
 pub fn is_valid_trace_id(id: &str) -> bool {
-    id.len() == 16 && id.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+    id.len() == 16
+        && id
+            .bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
 }
 
 /// Generates a fresh 16-hex-digit trace id. Uniqueness, not secrecy:
@@ -96,7 +99,9 @@ pub fn is_valid_trace_id(id: &str) -> bool {
 pub fn generate_trace_id() -> String {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| u64::try_from(d.as_nanos() & u128::from(u64::MAX)).unwrap_or(0));
+        .map_or(0, |d| {
+            u64::try_from(d.as_nanos() & u128::from(u64::MAX)).unwrap_or(0)
+        });
     let seed = nanos ^ (u64::from(std::process::id()) << 32);
     format!("{:016x}", splitmix64(seed))
 }
@@ -163,7 +168,10 @@ mod tests {
         let env = ctx.child_env("parent/worker[3]");
         assert_eq!(env[0].0, TRACE_ID_ENV);
         assert_eq!(env[0].1, ctx.trace_id);
-        assert_eq!(env[1], (PARENT_SPAN_ENV.to_owned(), "parent/worker[3]".to_owned()));
+        assert_eq!(
+            env[1],
+            (PARENT_SPAN_ENV.to_owned(), "parent/worker[3]".to_owned())
+        );
     }
 
     #[test]

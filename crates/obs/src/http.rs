@@ -469,7 +469,10 @@ mod tests {
         )
         .unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"), "{text}");
+        assert!(
+            text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"),
+            "{text}"
+        );
         assert!(text.contains("Retry-After: 1\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{}"), "{text}");
     }

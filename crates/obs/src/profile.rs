@@ -157,7 +157,10 @@ pub fn check_folded(text: &str) -> Result<usize, String> {
             return Err(format!("line {}: missing sample count", index + 1));
         };
         if count.is_empty() || !count.bytes().all(|b| b.is_ascii_digit()) {
-            return Err(format!("line {}: sample count `{count}` is not an unsigned integer", index + 1));
+            return Err(format!(
+                "line {}: sample count `{count}` is not an unsigned integer",
+                index + 1
+            ));
         }
         if stack.is_empty() || stack.split(';').any(str::is_empty) {
             return Err(format!("line {}: empty stack frame", index + 1));
@@ -227,10 +230,8 @@ mod tests {
 
     #[test]
     fn hotspot_table_shows_shares() {
-        let snapshot = snapshot_with(&[
-            ("a", 1, 3_000, 3_000, 3_000),
-            ("b", 1, 1_000, 1_000, 1_000),
-        ]);
+        let snapshot =
+            snapshot_with(&[("a", 1, 3_000, 3_000, 3_000), ("b", 1, 1_000, 1_000, 1_000)]);
         let table = Profile::from_snapshot(&snapshot).hotspot_table();
         assert!(table.contains("75.0%"));
         assert!(table.contains("25.0%"));

@@ -208,9 +208,8 @@ pub fn run(streams: &[(String, String)], spec: &QuerySpec) -> Result<String, Que
             if line.trim().is_empty() {
                 continue;
             }
-            let record = json::parse(line).map_err(|e| {
-                QueryError(format!("{label}:{}: {e}", idx + 1))
-            })?;
+            let record =
+                json::parse(line).map_err(|e| QueryError(format!("{label}:{}: {e}", idx + 1)))?;
             records += 1;
             if !matches(&record, spec) {
                 continue;
@@ -243,7 +242,14 @@ pub fn run(streams: &[(String, String)], spec: &QuerySpec) -> Result<String, Que
             }
         }
     }
-    Ok(render(spec, streams.len(), records, matched, &groups, slowest))
+    Ok(render(
+        spec,
+        streams.len(),
+        records,
+        matched,
+        &groups,
+        slowest,
+    ))
 }
 
 fn matches(record: &Value, spec: &QuerySpec) -> bool {
@@ -286,7 +292,8 @@ fn nearest_rank(sorted: &[f64], p: u8) -> Option<f64> {
         return None;
     }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let rank = ((f64::from(p) / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    let rank =
+        ((f64::from(p) / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     Some(sorted[rank - 1])
 }
 
@@ -331,8 +338,7 @@ fn render(
         if i > 0 {
             out.push(',');
         }
-        let value = aggregate(spec.agg, group)
-            .map_or_else(|| "null".to_owned(), fmt_num);
+        let value = aggregate(spec.agg, group).map_or_else(|| "null".to_owned(), fmt_num);
         let _ = write!(
             out,
             "{{\"key\":{},\"n\":{},\"value\":{value}}}",
@@ -484,16 +490,16 @@ mod tests {
 
     #[test]
     fn rejects_bad_input_and_specs() {
-        let err = run(
-            &stream("{\"type\":\"counter\"\n"),
-            &QuerySpec::default(),
-        )
-        .expect_err("bad json");
+        let err =
+            run(&stream("{\"type\":\"counter\"\n"), &QuerySpec::default()).expect_err("bad json");
         assert!(err.0.contains("test.ndjson:1"), "{err}");
-        let err = run(&stream(""), &QuerySpec {
-            agg: Agg::Sum,
-            ..QuerySpec::default()
-        })
+        let err = run(
+            &stream(""),
+            &QuerySpec {
+                agg: Agg::Sum,
+                ..QuerySpec::default()
+            },
+        )
         .expect_err("sum without field");
         assert!(err.0.contains("--field"), "{err}");
         assert!(Agg::parse("p95") == Ok(Agg::Quantile(95)));

@@ -274,7 +274,11 @@ fn dump(reason: &str) -> std::io::Result<Option<PathBuf>> {
                 recorder.dumped = true;
                 Some((
                     recorder.path.clone(),
-                    recorder.ring.iter().map(Event::ndjson_line).collect::<Vec<_>>(),
+                    recorder
+                        .ring
+                        .iter()
+                        .map(Event::ndjson_line)
+                        .collect::<Vec<_>>(),
                     recorder.ring.len(),
                 ))
             }
@@ -307,7 +311,10 @@ fn dump(reason: &str) -> std::io::Result<Option<PathBuf>> {
         out = crate::export::stamp_ndjson(&out, &ctx.trace_id);
     }
     crate::export::write_file(&path, &out)?;
-    crate::export::write_file(&path.with_extension("txt"), &summary(reason, at_ns, context.as_ref()))?;
+    crate::export::write_file(
+        &path.with_extension("txt"),
+        &summary(reason, at_ns, context.as_ref()),
+    )?;
     Ok(Some(path))
 }
 
@@ -363,7 +370,9 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_dumps_versioned_ndjson() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _guard = TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = std::env::temp_dir().join(format!("obs-recorder-{}", std::process::id()));
         let path = dir.join("flight.ndjson");
         install(&path, 4);
@@ -421,7 +430,9 @@ mod tests {
 
     #[test]
     fn tick_extracts_counter_deltas() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _guard = TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = std::env::temp_dir().join(format!("obs-recorder-d-{}", std::process::id()));
         let path = dir.join("flight.ndjson");
         install(&path, 32);

@@ -421,7 +421,11 @@ fn render_tiles(harvest: &Harvest) -> String {
         .unwrap_or(0);
     let mut out = String::from("<section class=\"tiles\">\n");
     out.push_str(&tile("Wall time", &fmt_duration(wall_ns), "longest stream"));
-    out.push_str(&tile("Spans", &fmt_count(total_spans as u64), "all processes"));
+    out.push_str(&tile(
+        "Spans",
+        &fmt_count(total_spans as u64),
+        "all processes",
+    ));
     out.push_str(&tile(
         "Processes",
         &fmt_count(harvest.streams.len() as u64),
@@ -1001,7 +1005,10 @@ mod tests {
             );
         }
         for i in 0..3 {
-            let _ = writeln!(text, "{{\"type\":\"ts\",\"name\":\"empty.{i:03}\",\"samples\":[]}}");
+            let _ = writeln!(
+                text,
+                "{{\"type\":\"ts\",\"name\":\"empty.{i:03}\",\"samples\":[]}}"
+            );
         }
         let input = ReportInput {
             label: "trace.ndjson".into(),
@@ -1023,7 +1030,10 @@ mod tests {
     fn sparklines_under_cap_have_no_marker() {
         let input = sample_input();
         let html = render(&[input], "small").expect("render");
-        assert!(!html.contains("of 1 series"), "no marker when nothing truncated");
+        assert!(
+            !html.contains("of 1 series"),
+            "no marker when nothing truncated"
+        );
     }
 
     #[test]

@@ -91,7 +91,10 @@ impl MetricsServer {
     /// message.
     pub fn start(addr: &str) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr).map_err(|e| {
-            std::io::Error::new(e.kind(), format!("cannot bind metrics endpoint `{addr}`: {e}"))
+            std::io::Error::new(
+                e.kind(),
+                format!("cannot bind metrics endpoint `{addr}`: {e}"),
+            )
         })?;
         let local = listener.local_addr()?;
         eprintln!("obs: serving metrics on http://{local}");
@@ -204,7 +207,9 @@ pub fn route(target: &str) -> (u16, &'static str, String) {
     let path = target.split('?').next().unwrap_or(target);
     match path {
         "/metrics" => {
-            let rollups = timeseries::active().map(|s| s.rollups()).unwrap_or_default();
+            let rollups = timeseries::active()
+                .map(|s| s.rollups())
+                .unwrap_or_default();
             (
                 200,
                 "text/plain; version=0.0.4; charset=utf-8",

@@ -140,10 +140,16 @@ impl SloConfig {
                     message: format!("unterminated section header `{raw}`"),
                 })?;
                 finish_rule(&mut pending, &mut config)?;
-                let name = header.trim().strip_prefix("rule.").ok_or_else(|| SloError {
-                    line: line_no,
-                    message: format!("unknown section `[{}]` (expected [rule.<name>])", header.trim()),
-                })?;
+                let name = header
+                    .trim()
+                    .strip_prefix("rule.")
+                    .ok_or_else(|| SloError {
+                        line: line_no,
+                        message: format!(
+                            "unknown section `[{}]` (expected [rule.<name>])",
+                            header.trim()
+                        ),
+                    })?;
                 if name.is_empty() || !name.chars().all(is_rule_name_char) {
                     return Err(SloError {
                         line: line_no,
@@ -198,9 +204,8 @@ impl SloConfig {
     /// [`std::io::ErrorKind::InvalidData`] with the [`SloError`]
     /// message.
     pub fn load(path: &Path) -> std::io::Result<SloConfig> {
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
-        })?;
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
         SloConfig::parse(&text).map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -214,10 +219,7 @@ fn is_rule_name_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.')
 }
 
-fn finish_rule(
-    pending: &mut Option<PendingRule>,
-    config: &mut SloConfig,
-) -> Result<(), SloError> {
+fn finish_rule(pending: &mut Option<PendingRule>, config: &mut SloConfig) -> Result<(), SloError> {
     let Some(rule) = pending.take() else {
         return Ok(());
     };
@@ -233,7 +235,10 @@ fn finish_rule(
     let kind = match rule.kind.as_deref() {
         Some("static") => {
             let max = rule.max.ok_or_else(|| {
-                err(format!("[rule.{}] kind `static` needs `max = <number>`", rule.name))
+                err(format!(
+                    "[rule.{}] kind `static` needs `max = <number>`",
+                    rule.name
+                ))
             })?;
             let clear = rule.clear.unwrap_or(max);
             if clear > max {
@@ -258,10 +263,16 @@ fn finish_rule(
                 ))
             })?;
             let long_ms = rule.long_ms.ok_or_else(|| {
-                err(format!("[rule.{}] kind `burn_rate` needs `long_ms`", rule.name))
+                err(format!(
+                    "[rule.{}] kind `burn_rate` needs `long_ms`",
+                    rule.name
+                ))
             })?;
             let short_ms = rule.short_ms.ok_or_else(|| {
-                err(format!("[rule.{}] kind `burn_rate` needs `short_ms`", rule.name))
+                err(format!(
+                    "[rule.{}] kind `burn_rate` needs `short_ms`",
+                    rule.name
+                ))
             })?;
             if short_ms == 0 || long_ms < short_ms {
                 return Err(err(format!(
@@ -763,11 +774,26 @@ short_ms = 250
         };
         let line = t.ndjson_line();
         let value = crate::json::parse(&line).unwrap();
-        assert_eq!(value.get("type").and_then(crate::json::Value::as_str), Some("alert"));
-        assert_eq!(value.get("rule").and_then(crate::json::Value::as_str), Some("p99"));
-        assert_eq!(value.get("state").and_then(crate::json::Value::as_str), Some("firing"));
-        assert_eq!(value.get("value").and_then(crate::json::Value::as_f64), Some(123.0));
-        assert_eq!(value.get("threshold").and_then(crate::json::Value::as_f64), Some(100.5));
+        assert_eq!(
+            value.get("type").and_then(crate::json::Value::as_str),
+            Some("alert")
+        );
+        assert_eq!(
+            value.get("rule").and_then(crate::json::Value::as_str),
+            Some("p99")
+        );
+        assert_eq!(
+            value.get("state").and_then(crate::json::Value::as_str),
+            Some("firing")
+        );
+        assert_eq!(
+            value.get("value").and_then(crate::json::Value::as_f64),
+            Some(123.0)
+        );
+        assert_eq!(
+            value.get("threshold").and_then(crate::json::Value::as_f64),
+            Some(100.5)
+        );
         assert_eq!(line, line.trim(), "single line");
     }
 

@@ -237,7 +237,12 @@ pub fn hist_quantile(hist: &Histogram, q: f64) -> u64 {
     for (i, count) in hist.counts.iter().enumerate() {
         seen += count;
         if seen >= rank {
-            return hist.edges.get(i).or(hist.edges.last()).copied().unwrap_or(0);
+            return hist
+                .edges
+                .get(i)
+                .or(hist.edges.last())
+                .copied()
+                .unwrap_or(0);
         }
     }
     hist.edges.last().copied().unwrap_or(0)
@@ -297,7 +302,9 @@ impl Sampler {
             .spawn(move || {
                 sample_once(&thread_store);
                 let (flag, cv) = &*thread_stop;
-                let mut stopped = flag.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut stopped = flag
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
                 loop {
                     let (guard, timeout) = cv
                         .wait_timeout(stopped, interval)
@@ -338,7 +345,9 @@ impl Sampler {
 
     fn signal_stop(&self) {
         let (flag, cv) = &*self.stop;
-        *flag.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+        *flag
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
         cv.notify_all();
     }
 }
@@ -401,7 +410,11 @@ mod tests {
         // window-1 samples (window would hold 4 at the 1s cadence, we
         // have 3 spanning 2s): the rate must use the observed 2s span,
         // not extrapolate over the nominal 4s window.
-        let samples = [(1_000_000_000, 0), (2_000_000_000, 100), (3_000_000_000, 200)];
+        let samples = [
+            (1_000_000_000, 0),
+            (2_000_000_000, 100),
+            (3_000_000_000, 200),
+        ];
         let rate = windowed_rate(&samples, 4_000_000_000);
         assert!((rate - 100.0).abs() < 1e-9, "{rate}");
         // Samples older than the window are excluded before rating.

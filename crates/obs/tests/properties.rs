@@ -23,7 +23,9 @@ fn trace_config() -> ObsConfig {
 
 /// Serializes a test body against the process-global obs state.
 fn with_obs<R>(config: &ObsConfig, body: impl FnOnce() -> R) -> R {
-    let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     scan_obs::init(config);
     let result = body();
     scan_obs::reset();
@@ -150,10 +152,16 @@ fn concurrent_scoped_workers_record_without_loss() {
         });
         let snapshot = scan_obs::snapshot();
         assert_eq!(snapshot.counters["workers.cases"], WORKERS as u64 * TICKS);
-        assert_eq!(snapshot.histograms["workers.values"].total, WORKERS as u64 * TICKS);
+        assert_eq!(
+            snapshot.histograms["workers.values"].total,
+            WORKERS as u64 * TICKS
+        );
         assert_eq!(snapshot.span_stats["worker"].count, WORKERS as u64);
         for w in 0..WORKERS {
-            assert_eq!(snapshot.counters[&format!("parallel.worker{w}.cases")], TICKS);
+            assert_eq!(
+                snapshot.counters[&format!("parallel.worker{w}.cases")],
+                TICKS
+            );
         }
         // Worker spans come from distinct registered threads.
         let mut threads: Vec<u32> = snapshot
@@ -264,7 +272,11 @@ fn ndjson_round_trips_through_the_json_reader() {
                 }
                 "counter" => {
                     counters.push((
-                        value.get("name").and_then(Value::as_str).unwrap().to_owned(),
+                        value
+                            .get("name")
+                            .and_then(Value::as_str)
+                            .unwrap()
+                            .to_owned(),
                         value.get("value").and_then(Value::as_f64).unwrap(),
                     ));
                 }
@@ -278,7 +290,10 @@ fn ndjson_round_trips_through_the_json_reader() {
                 other => panic!("unexpected type {other}"),
             }
         }
-        assert_eq!(spans, vec!["prepare".to_owned(), "prepare/fault_sim".to_owned()]);
+        assert_eq!(
+            spans,
+            vec!["prepare".to_owned(), "prepare/fault_sim".to_owned()]
+        );
         assert!(counters.contains(&("fault_sim.error_maps".to_owned(), 42.0)));
         assert_eq!(hists.len(), 1);
 

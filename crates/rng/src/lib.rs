@@ -157,10 +157,7 @@ impl ScanRng {
 
     /// The next 64-bit output word.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -254,7 +251,10 @@ impl ScanRng {
     ///
     /// Panics if `low > high`.
     pub fn gen_range_inclusive(&mut self, low: usize, high: usize) -> usize {
-        assert!(low <= high, "gen_range_inclusive range {low}..={high} is empty");
+        assert!(
+            low <= high,
+            "gen_range_inclusive range {low}..={high} is empty"
+        );
         #[allow(clippy::cast_possible_truncation)] // width fits in usize
         {
             low + self.gen_u64_below((high - low) as u64 + 1) as usize
@@ -426,7 +426,10 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for seed in 0..8u64 {
             for index in 0..8u64 {
-                assert!(seen.insert(derive(seed, index)), "collision at ({seed},{index})");
+                assert!(
+                    seen.insert(derive(seed, index)),
+                    "collision at ({seed},{index})"
+                );
             }
         }
     }

@@ -251,8 +251,8 @@ mod tests {
 
     #[test]
     fn not_gate_input_collapses_to_output() {
-        let n = scan_netlist::Netlist::from_bench("inv", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
-            .unwrap();
+        let n =
+            scan_netlist::Netlist::from_bench("inv", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
         let col = FaultUniverse::collapsed(&n);
         let a = n.find_net("a").unwrap();
         // a/SA0 ≡ y/SA1 and a/SA1 ≡ y/SA0: only y faults remain.

@@ -282,7 +282,8 @@ mod tests {
         let fsim = FaultSimulator::new(&n, &view, &patterns).unwrap();
         // Naive scalar evaluation for a handful of patterns.
         for pattern in [0usize, 1, 63, 64, 127] {
-            let mut values: std::collections::BTreeMap<usize, bool> = std::collections::BTreeMap::new();
+            let mut values: std::collections::BTreeMap<usize, bool> =
+                std::collections::BTreeMap::new();
             for (pi, &net) in n.inputs().iter().enumerate() {
                 values.insert(net.index(), patterns.pi_bit(pi, pattern));
             }

@@ -61,8 +61,8 @@ pub use chain_fault::{locate_chain_fault, simulate_chain_fault, ChainFault};
 pub use error::PatternShapeError;
 pub use fault::{site_has_fanout, Fault, FaultSite, FaultUniverse};
 pub use fault_sim::FaultSimulator;
-pub use ppsfp::PpsfpSimulator;
-pub use sequential::SequentialSimulator;
 pub use pattern::PatternSet;
+pub use ppsfp::PpsfpSimulator;
 pub use response::{ErrorMap, ResponseMap};
+pub use sequential::SequentialSimulator;
 pub use simulator::Simulator;

@@ -502,10 +502,7 @@ mod tests {
         let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
         let reference = fsim.sample_detected_faults(10, 1);
         let fused = psim.sample_detected_with_maps(10, 1);
-        assert_eq!(
-            reference,
-            fused.iter().map(|(f, _)| *f).collect::<Vec<_>>()
-        );
+        assert_eq!(reference, fused.iter().map(|(f, _)| *f).collect::<Vec<_>>());
         for (fault, map) in &fused {
             assert_eq!(map, &fsim.error_map(fault));
         }

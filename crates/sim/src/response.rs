@@ -69,7 +69,10 @@ impl ResponseMap {
     /// Panics if indices are out of range.
     pub fn set_word(&mut self, position: usize, word: usize, value: u64) {
         let stride = self.stride();
-        assert!(position < self.num_positions && word < stride, "index out of range");
+        assert!(
+            position < self.num_positions && word < stride,
+            "index out of range"
+        );
         self.data[position * stride + word] = value;
     }
 
@@ -93,8 +96,14 @@ impl ResponseMap {
     /// Panics if shapes differ.
     #[must_use]
     pub fn xor(&self, golden: &ResponseMap) -> ErrorMap {
-        assert_eq!(self.num_patterns, golden.num_patterns, "pattern counts differ");
-        assert_eq!(self.num_positions, golden.num_positions, "position counts differ");
+        assert_eq!(
+            self.num_patterns, golden.num_patterns,
+            "pattern counts differ"
+        );
+        assert_eq!(
+            self.num_positions, golden.num_positions,
+            "position counts differ"
+        );
         let diff = self.data.iter().zip(&golden.data).map(|(x, y)| x ^ y);
         ErrorMap::from_dense(self.num_positions, self.num_patterns, diff)
     }
@@ -272,9 +281,8 @@ impl ErrorMap {
     /// Iterates over all error bits as `(position, pattern)` pairs, in
     /// position-major order.
     pub fn iter_bits(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.iter_words().flat_map(|(pos, w, bits)| {
-            BitLanes(bits).map(move |lane| (pos, w * 64 + lane))
-        })
+        self.iter_words()
+            .flat_map(|(pos, w, bits)| BitLanes(bits).map(move |lane| (pos, w * 64 + lane)))
     }
 
     /// Iterates over the nonzero packed error words as
@@ -298,9 +306,9 @@ impl ErrorMap {
     ///
     /// Panics if `position` is out of range.
     pub fn errors_at(&self, position: usize) -> impl Iterator<Item = usize> + '_ {
-        self.row(position).iter().flat_map(|&(_, w, bits)| {
-            BitLanes(bits).map(move |lane| w as usize * 64 + lane)
-        })
+        self.row(position)
+            .iter()
+            .flat_map(|&(_, w, bits)| BitLanes(bits).map(move |lane| w as usize * 64 + lane))
     }
 }
 
@@ -337,7 +345,10 @@ mod tests {
             err.iter_bits().collect::<Vec<_>>(),
             vec![(1, 0), (1, 2), (2, 69)]
         );
-        assert_eq!(err.failing_positions().iter().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(
+            err.failing_positions().iter().collect::<Vec<_>>(),
+            vec![1, 2]
+        );
     }
 
     #[test]

@@ -34,7 +34,11 @@ fn pattern_pack_unpack_round_trip() {
         for pat in 0..num_patterns {
             let base = pat * (num_pis + num_ffs);
             for ff in 0..num_ffs {
-                assert_eq!(packed.state_bit(ff, pat), stream[base + ff], "ff {ff} pat {pat}");
+                assert_eq!(
+                    packed.state_bit(ff, pat),
+                    stream[base + ff],
+                    "ff {ff} pat {pat}"
+                );
             }
             for pi in 0..num_pis {
                 assert_eq!(

@@ -225,8 +225,16 @@ mod tests {
         let hardcoded = crate::d695::soc2().unwrap();
         assert_eq!(from_text.num_chains(), hardcoded.num_chains());
         assert_eq!(from_text.total_positions(), hardcoded.total_positions());
-        let names: Vec<&str> = from_text.cores().iter().map(super::super::core_module::CoreModule::name).collect();
-        let expected: Vec<&str> = hardcoded.cores().iter().map(super::super::core_module::CoreModule::name).collect();
+        let names: Vec<&str> = from_text
+            .cores()
+            .iter()
+            .map(super::super::core_module::CoreModule::name)
+            .collect();
+        let expected: Vec<&str> = hardcoded
+            .cores()
+            .iter()
+            .map(super::super::core_module::CoreModule::name)
+            .collect();
         assert_eq!(names, expected);
     }
 

@@ -85,7 +85,8 @@ impl TestSchedule {
             .iter()
             .map(|chain| {
                 let mut cycles = 0usize;
-                let mut bypassed_seen: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
+                let mut bypassed_seen: std::collections::BTreeSet<u32> =
+                    std::collections::BTreeSet::new();
                 for cell in chain {
                     if active_set.contains(&(cell.core as usize)) {
                         cycles += 1;
@@ -196,9 +197,6 @@ mod tests {
             CoreTestPlan { patterns: 5 },
         ];
         let sched = TestSchedule::daisy_chain(&soc, &plans);
-        assert!(sched
-            .phases()
-            .iter()
-            .all(|p| !p.active_cores.contains(&0)));
+        assert!(sched.phases().iter().all(|p| !p.active_cores.contains(&0)));
     }
 }

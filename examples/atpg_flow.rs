@@ -46,7 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             PodemResult::Aborted => aborted += 1,
         }
     }
-    println!("top-off: {cubes} deterministic cubes, {redundant} proven redundant, {aborted} aborted");
+    println!(
+        "top-off: {cubes} deterministic cubes, {redundant} proven redundant, {aborted} aborted"
+    );
 
     // 3. Full standalone ATPG for comparison.
     let atpg = run_atpg(&circuit, &PodemLimits::default(), 1);

@@ -28,7 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fault = Fault::stem(net, true);
     let errors = psim.error_map(&fault);
     let truth: Vec<usize> = errors.failing_positions().iter().collect();
-    println!("injected {}: true failing cells {truth:?}", fault.describe(&circuit));
+    println!(
+        "injected {}: true failing cells {truth:?}",
+        fault.describe(&circuit)
+    );
 
     // 4. Diagnose from signatures only: 2 groups per partition, 3
     //    partitions, two-step scheme.

@@ -42,12 +42,8 @@ fn chain_masking_beats_baseline_on_multi_chain_soc() {
         .build()
         .expect("SOC builds");
     let layout = ChainLayout::from_soc(&soc);
-    let plan = DiagnosisPlan::new(
-        layout,
-        64,
-        &BistConfig::new(4, 5, Scheme::TWO_STEP_DEFAULT),
-    )
-    .expect("plan builds");
+    let plan = DiagnosisPlan::new(layout, 64, &BistConfig::new(4, 5, Scheme::TWO_STEP_DEFAULT))
+        .expect("plan builds");
 
     // Evidence from one fault in core 1.
     let core = &soc.cores()[1];
@@ -66,8 +62,11 @@ fn chain_masking_beats_baseline_on_multi_chain_soc() {
         .map(|(pos, w, bits)| (local_to_global[pos], w, bits))
         .collect();
 
-    let baseline = scan_bist_suite::diagnosis::diagnose_checked(&plan, &plan.analyze_packed(words.iter().copied()))
-        .expect("injected chain fault yields a consistent failing history");
+    let baseline = scan_bist_suite::diagnosis::diagnose_checked(
+        &plan,
+        &plan.analyze_packed(words.iter().copied()),
+    )
+    .expect("injected chain fault yields a consistent failing history");
     let masked = diagnose_chain_masked(&plan, &analyze_chain_masked(&plan, words.iter().copied()));
     assert!(masked.is_subset(baseline.candidates()));
     for &(cell, _, _) in &words {

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: the full pipeline from netlist text
 //! to diagnosed failing cells, exercised end to end.
 
-use scan_bist_suite::prelude::*;
 use scan_bist_suite::netlist::{bench, generate};
+use scan_bist_suite::prelude::*;
 
 fn s953() -> Netlist {
     generate::benchmark("s953")

@@ -2,10 +2,10 @@
 //! the cycle-level selection hardware (Fig. 1), the algebraic partition
 //! derivation, and the linear-superposition signature analysis.
 
-use scan_bist_suite::prelude::*;
-use scan_bist_suite::bist::selection::{SelectionHardware, SelectionMode};
 use scan_bist_suite::bist::seed::find_interval_seed;
+use scan_bist_suite::bist::selection::{SelectionHardware, SelectionMode};
 use scan_bist_suite::netlist::generate;
+use scan_bist_suite::prelude::*;
 
 #[test]
 fn hardware_masks_reproduce_two_step_partitions() {
@@ -124,7 +124,11 @@ fn prpg_stream_reproducibility_across_layers() {
     let mut prpg = Prpg::new(42).unwrap();
     for p in 0..n {
         for ff in 0..circuit.num_dffs() {
-            assert_eq!(patterns.state_bit(ff, p), prpg.next_bit(), "ff {ff} pat {p}");
+            assert_eq!(
+                patterns.state_bit(ff, p),
+                prpg.next_bit(),
+                "ff {ff} pat {p}"
+            );
         }
         for pi in 0..circuit.num_inputs() {
             assert_eq!(patterns.pi_bit(pi, p), prpg.next_bit(), "pi {pi} pat {p}");

@@ -31,8 +31,13 @@ fn parallel_dr_is_bit_identical_across_thread_counts() {
     for scheme in SCHEMES {
         let serial = campaign.run(scheme).expect("serial run");
         for threads in THREAD_COUNTS {
-            let par = campaign.run_parallel(scheme, threads).expect("parallel run");
-            assert_eq!(par.dr, serial.dr, "{scheme:?} DR differs at {threads} threads");
+            let par = campaign
+                .run_parallel(scheme, threads)
+                .expect("parallel run");
+            assert_eq!(
+                par.dr, serial.dr,
+                "{scheme:?} DR differs at {threads} threads"
+            );
             assert_eq!(par.dr_pruned, serial.dr_pruned);
             assert_eq!(par.dr_by_prefix, serial.dr_by_prefix);
             assert_eq!(par.mean_candidates, serial.mean_candidates);
@@ -110,7 +115,10 @@ fn parallel_robust_campaign_is_bit_identical_under_noise() {
         let par = campaign
             .run_robust_parallel(Scheme::TWO_STEP_DEFAULT, &noise, &policy, threads)
             .expect("parallel robust run");
-        assert_eq!(par.exact, serial.exact, "exact differs at {threads} threads");
+        assert_eq!(
+            par.exact, serial.exact,
+            "exact differs at {threads} threads"
+        );
         assert_eq!(par.degraded, serial.degraded);
         assert_eq!(par.inconclusive, serial.inconclusive);
         assert_eq!(par.dr, serial.dr);
@@ -128,7 +136,9 @@ fn parallel_robust_campaign_is_bit_identical_under_noise() {
 fn auto_thread_count_is_deterministic_too() {
     let campaign = circuit_campaign();
     let serial = campaign.run(Scheme::IntervalBased).expect("serial run");
-    let auto = campaign.run_parallel(Scheme::IntervalBased, 0).expect("auto run");
+    let auto = campaign
+        .run_parallel(Scheme::IntervalBased, 0)
+        .expect("auto run");
     assert_eq!(auto.dr, serial.dr);
     assert_eq!(auto.dr_by_prefix, serial.dr_by_prefix);
 }
