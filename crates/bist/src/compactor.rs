@@ -128,24 +128,21 @@ impl ResponseCompactor for TransitionCounter {
     }
 }
 
-/// Runs a full bit stream through a compactor and returns the
-/// signature (convenience for experiments and tests).
-pub fn compact_stream<C, I>(compactor: &mut C, stream: I) -> u64
-where
-    C: ResponseCompactor,
-    I: IntoIterator<Item = bool>,
-{
-    compactor.reset();
-    for bit in stream {
-        compactor.clock(u64::from(bit));
-    }
-    compactor.signature()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Misr;
+
+    fn compact_stream<C: ResponseCompactor>(
+        compactor: &mut C,
+        stream: impl IntoIterator<Item = bool>,
+    ) -> u64 {
+        compactor.reset();
+        for bit in stream {
+            compactor.clock(u64::from(bit));
+        }
+        compactor.signature()
+    }
 
     #[test]
     fn ones_counter_counts() {

@@ -16,12 +16,6 @@ pub enum BuildLfsrError {
         /// The requested degree.
         degree: u32,
     },
-    /// A caller-supplied polynomial was malformed (degree 0, or degree
-    /// above 63).
-    InvalidPolynomial {
-        /// The offending polynomial, as a coefficient bit mask.
-        poly: u64,
-    },
 }
 
 impl fmt::Display for BuildLfsrError {
@@ -29,9 +23,6 @@ impl fmt::Display for BuildLfsrError {
         match self {
             BuildLfsrError::UnsupportedDegree { degree } => {
                 write!(f, "no tabulated primitive polynomial of degree {degree}")
-            }
-            BuildLfsrError::InvalidPolynomial { poly } => {
-                write!(f, "invalid feedback polynomial {poly:#x}")
             }
         }
     }

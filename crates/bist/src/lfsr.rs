@@ -112,29 +112,6 @@ impl Lfsr {
         })
     }
 
-    /// Creates an LFSR from an explicit feedback polynomial (bit `k` =
-    /// coefficient of `x^k`; the top set bit determines the degree).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildLfsrError::InvalidPolynomial`] if the polynomial
-    /// has degree 0 or ≥ 64, or lacks the `+1` term (which would make
-    /// the recurrence singular).
-    pub fn with_poly(poly: u64) -> Result<Self, BuildLfsrError> {
-        if poly <= 1 || poly & 1 == 0 {
-            return Err(BuildLfsrError::InvalidPolynomial { poly });
-        }
-        let degree = poly.ilog2();
-        if degree == 0 {
-            return Err(BuildLfsrError::InvalidPolynomial { poly });
-        }
-        Ok(Lfsr {
-            poly,
-            degree,
-            state: 1,
-        })
-    }
-
     /// The feedback polynomial (coefficient bit mask, including the top
     /// term).
     #[must_use]
@@ -246,14 +223,6 @@ mod tests {
     fn unsupported_degree_rejected() {
         assert!(Lfsr::new(1).is_err());
         assert!(Lfsr::new(33).is_err());
-    }
-
-    #[test]
-    fn with_poly_checks_shape() {
-        assert!(Lfsr::with_poly(0).is_err());
-        assert!(Lfsr::with_poly(1).is_err());
-        assert!(Lfsr::with_poly(0b110).is_err()); // missing +1 term
-        assert!(Lfsr::with_poly(0b111).is_ok()); // x^2 + x + 1
     }
 
     #[test]

@@ -50,22 +50,6 @@ impl Prpg {
     pub fn next_bit(&mut self) -> bool {
         self.lfsr.step()
     }
-
-    /// Fills a 64-pattern word: bit `i` of the result is the next bit of
-    /// pattern `base + i` for a *bit-parallel* consumer that assigns one
-    /// stream per pattern lane.
-    ///
-    /// Lanes are filled in order, so `fill_word` consumes 64 stream
-    /// bits.
-    pub fn fill_word(&mut self) -> u64 {
-        let mut word = 0u64;
-        for lane in 0..64 {
-            if self.next_bit() {
-                word |= 1 << lane;
-            }
-        }
-        word
-    }
 }
 
 #[cfg(test)]
@@ -81,21 +65,11 @@ mod tests {
     }
 
     #[test]
-    fn fill_word_consumes_64_bits() {
-        let mut a = Prpg::new(7).unwrap();
-        let mut b = Prpg::new(7).unwrap();
-        let word = a.fill_word();
-        for lane in 0..64 {
-            assert_eq!(word >> lane & 1 != 0, b.next_bit());
-        }
-    }
-
-    #[test]
     fn different_seeds_different_streams() {
         let mut a = Prpg::new(1).unwrap();
         let mut b = Prpg::new(2).unwrap();
-        let wa: Vec<u64> = (0..4).map(|_| a.fill_word()).collect();
-        let wb: Vec<u64> = (0..4).map(|_| b.fill_word()).collect();
+        let wa: Vec<bool> = (0..256).map(|_| a.next_bit()).collect();
+        let wb: Vec<bool> = (0..256).map(|_| b.next_bit()).collect();
         assert_ne!(wa, wb);
     }
 }

@@ -39,12 +39,6 @@ impl ChainMaskedOutcome {
         );
         self.fails[(partition * self.groups + usize::from(group)) * self.chains + chain]
     }
-
-    /// Total sessions represented.
-    #[must_use]
-    pub fn num_sessions(&self) -> usize {
-        self.fails.len()
-    }
 }
 
 /// Runs every chain-masked session over packed error words
@@ -151,12 +145,5 @@ mod tests {
         for &(cell, _, _) in &words {
             assert!(masked.contains(cell));
         }
-    }
-
-    #[test]
-    fn session_count_scales_with_chains() {
-        let plan = multi_chain_plan(4, 16);
-        let outcome = analyze_chain_masked(&plan, std::iter::empty());
-        assert_eq!(outcome.num_sessions(), 3 * 4 * 4);
     }
 }

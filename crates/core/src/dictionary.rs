@@ -22,14 +22,14 @@ use scan_sim::{ErrorMap, Fault};
 
 use crate::session::{DiagnosisPlan, SessionOutcome};
 
-/// A prebuilt dictionary mapping syndromes to the faults that produce
-/// them.
+/// A prebuilt dictionary of syndrome classes: how many faults produce
+/// each syndrome.
 #[derive(Clone, Debug)]
 pub struct FaultDictionary {
-    /// Exact-signature syndrome → faults.
-    exact: BTreeMap<Vec<u64>, Vec<Fault>>,
-    /// Pass/fail-only syndrome → faults.
-    passfail: BTreeMap<Vec<u64>, Vec<Fault>>,
+    /// Exact-signature syndrome → number of faults.
+    exact: BTreeMap<Vec<u64>, usize>,
+    /// Pass/fail-only syndrome → number of faults.
+    passfail: BTreeMap<Vec<u64>, usize>,
     total: usize,
 }
 
@@ -39,18 +39,14 @@ impl FaultDictionary {
     /// shape `PpsfpSimulator::sample_detected_with_maps` returns.
     #[must_use]
     pub fn build(plan: &DiagnosisPlan, cases: &[(Fault, ErrorMap)]) -> Self {
-        let mut exact: BTreeMap<Vec<u64>, Vec<Fault>> = BTreeMap::new();
-        let mut passfail: BTreeMap<Vec<u64>, Vec<Fault>> = BTreeMap::new();
-        for &(fault, ref errors) in cases {
+        let mut exact: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+        let mut passfail: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+        for (_, errors) in cases {
             let outcome = plan.analyze_packed(errors.iter_words());
-            exact
-                .entry(Self::exact_key(plan, &outcome))
-                .or_default()
-                .push(fault);
-            passfail
+            *exact.entry(Self::exact_key(plan, &outcome)).or_default() += 1;
+            *passfail
                 .entry(Self::passfail_key(plan, &outcome))
-                .or_default()
-                .push(fault);
+                .or_default() += 1;
         }
         FaultDictionary {
             exact,
@@ -81,22 +77,6 @@ impl FaultDictionary {
             key.push(word);
         }
         key
-    }
-
-    /// Faults whose exact signature syndrome matches the observation.
-    #[must_use]
-    pub fn lookup_exact(&self, plan: &DiagnosisPlan, outcome: &SessionOutcome) -> &[Fault] {
-        self.exact
-            .get(&Self::exact_key(plan, outcome))
-            .map_or(&[], Vec::as_slice)
-    }
-
-    /// Faults whose pass/fail syndrome matches the observation.
-    #[must_use]
-    pub fn lookup_passfail(&self, plan: &DiagnosisPlan, outcome: &SessionOutcome) -> &[Fault] {
-        self.passfail
-            .get(&Self::passfail_key(plan, outcome))
-            .map_or(&[], Vec::as_slice)
     }
 
     /// Number of faults in the dictionary.
@@ -132,12 +112,12 @@ impl FaultDictionary {
         Self::expected(&self.passfail, self.total)
     }
 
-    fn expected(map: &BTreeMap<Vec<u64>, Vec<Fault>>, total: usize) -> f64 {
+    fn expected(map: &BTreeMap<Vec<u64>, usize>, total: usize) -> f64 {
         if total == 0 {
             return 0.0;
         }
         map.values()
-            .map(|v| (v.len() * v.len()) as f64)
+            .map(|&class| (class * class) as f64)
             .sum::<f64>()
             / total as f64
     }
@@ -161,35 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_identifies_its_own_faults() {
-        let (n, view, patterns) = setup();
-        let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
-        let cases = psim.sample_detected_with_maps(20, 1);
-        let plan = DiagnosisPlan::new(
-            ChainLayout::single_chain(view.len()),
-            64,
-            &BistConfig::new(2, 3, Scheme::TWO_STEP_DEFAULT),
-        )
-        .unwrap();
-        let dict = FaultDictionary::build(&plan, &cases);
-        assert_eq!(dict.num_faults(), cases.len());
-        for (fault, errors) in &cases {
-            let outcome = plan.analyze_packed(errors.iter_words());
-            let suspects = dict.lookup_exact(&plan, &outcome);
-            assert!(
-                suspects.contains(fault),
-                "dictionary lost {}",
-                fault.describe(&n)
-            );
-            // Pass/fail matching is coarser but still contains the
-            // exact class.
-            let coarse = dict.lookup_passfail(&plan, &outcome);
-            assert!(coarse.contains(fault));
-            assert!(coarse.len() >= suspects.len());
-        }
-    }
-
-    #[test]
     fn exact_syndromes_refine_passfail() {
         let (n, view, patterns) = setup();
         let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
@@ -201,6 +152,7 @@ mod tests {
         )
         .unwrap();
         let dict = FaultDictionary::build(&plan, &cases);
+        assert_eq!(dict.num_faults(), cases.len());
         assert!(dict.num_exact_classes() >= dict.num_passfail_classes());
         assert!(dict.expected_exact_suspects() <= dict.expected_passfail_suspects() + 1e-9);
         let _ = n;
@@ -238,26 +190,6 @@ mod tests {
             backward.expected_passfail_suspects().to_bits(),
             "pass/fail-suspect expectation must not depend on insertion order"
         );
-        let _ = n;
-    }
-
-    #[test]
-    fn unknown_syndrome_yields_no_suspects() {
-        let (n, view, patterns) = setup();
-        let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
-        let cases = psim.sample_detected_with_maps(5, 3);
-        let plan = DiagnosisPlan::new(
-            ChainLayout::single_chain(view.len()),
-            64,
-            &BistConfig::new(2, 2, Scheme::RandomSelection),
-        )
-        .unwrap();
-        let dict = FaultDictionary::build(&plan, &cases);
-        // A fabricated error map unlike any single fault.
-        let outcome = plan.analyze((0..view.len()).map(|c| (c, c % 3)));
-        let suspects = dict.lookup_exact(&plan, &outcome);
-        // Either empty or (unlikely) an accidental match; must not panic.
-        let _ = suspects;
         let _ = n;
     }
 

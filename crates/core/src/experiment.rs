@@ -304,19 +304,6 @@ impl RobustReport {
     pub fn conclusive_fraction(&self) -> f64 {
         self.conclusive() as f64 / self.faults.max(1) as f64
     }
-
-    /// Fraction of strict failures the robust engine recovered.
-    #[must_use]
-    pub fn recovered_fraction(&self) -> f64 {
-        self.recovered as f64 / self.strict_failures.max(1) as f64
-    }
-
-    /// Fraction of conclusive faults whose candidates contain a truly
-    /// failing cell.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        self.hits as f64 / self.conclusive().max(1) as f64
-    }
 }
 
 /// A campaign with stimuli applied and faults simulated, ready to be
@@ -1361,7 +1348,7 @@ mod tests {
             "conclusive fraction {} below the 90% bar",
             report.conclusive_fraction()
         );
-        assert!(report.recovered_fraction() >= 0.5);
+        assert!(2 * report.recovered >= report.strict_failures);
         assert!(report.hits > 0);
     }
 

@@ -49,18 +49,6 @@ impl DrAccumulator {
         self.faults
     }
 
-    /// Total candidates over all faults.
-    #[must_use]
-    pub fn total_candidates(&self) -> u64 {
-        self.candidates
-    }
-
-    /// Total actual failing cells over all faults.
-    #[must_use]
-    pub fn total_actual(&self) -> u64 {
-        self.actual
-    }
-
     /// The diagnostic resolution. Returns `0.0` for an empty
     /// accumulator (no faults, no misdiagnosis).
     #[must_use]
@@ -131,8 +119,10 @@ mod tests {
         // (40 − 20) / 20 = 1.0
         assert!((acc.dr() - 1.0).abs() < 1e-12);
         assert_eq!(acc.num_faults(), 2);
-        assert_eq!(acc.total_candidates(), 40);
-        assert_eq!(acc.total_actual(), 20);
+        assert_eq!(
+            acc.to_string(),
+            "DR 1.000 over 2 faults (40 candidates / 20 actual)"
+        );
     }
 
     #[test]

@@ -209,18 +209,6 @@ impl ObservedOutcome {
         self.row_range(partition).len()
     }
 
-    /// Every session that reported [`Verdict::Lost`], as
-    /// `(partition, group)` pairs in grid order.
-    pub fn lost_sessions(&self) -> impl Iterator<Item = (usize, u16)> + '_ {
-        (0..self.num_partitions()).flat_map(move |p| {
-            self.verdicts[self.row_range(p)]
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v == Verdict::Lost)
-                .map(move |(g, _)| (p, g as u16))
-        })
-    }
-
     /// Number of sessions that reported [`Verdict::Lost`].
     #[must_use]
     pub fn num_lost(&self) -> usize {
@@ -234,7 +222,7 @@ impl ObservedOutcome {
     /// strict intersection, mapping [`Verdict::Fail`] to failing and
     /// both [`Verdict::Pass`] and [`Verdict::Lost`] to passing.
     /// Callers that care about lost sessions (the robust engine) must
-    /// inspect [`lost_sessions`](Self::lost_sessions) separately.
+    /// inspect the [`Verdict::Lost`] entries separately.
     #[must_use]
     pub fn to_outcome(&self) -> SessionOutcome {
         SessionOutcome::from_flat(

@@ -70,31 +70,6 @@ impl SuspectRanking {
     pub fn suspects(&self) -> &[(usize, f64)] {
         &self.ranked
     }
-
-    /// The rank (0 = strongest) of a cell, if it is a suspect.
-    #[must_use]
-    pub fn rank_of(&self, cell: usize) -> Option<usize> {
-        self.ranked.iter().position(|&(c, _)| c == cell)
-    }
-
-    /// Mean rank of a set of true failing cells — the inspection effort
-    /// a perfect-first-guess analyst would spend (0 is ideal).
-    #[must_use]
-    pub fn mean_rank_of(&self, cells: &BitSet) -> f64 {
-        let mut total = 0usize;
-        let mut counted = 0usize;
-        for cell in cells {
-            if let Some(rank) = self.rank_of(cell) {
-                total += rank;
-                counted += 1;
-            }
-        }
-        if counted == 0 {
-            0.0
-        } else {
-            total as f64 / counted as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +100,11 @@ mod tests {
         // same failing groups as cell 42, so 42 is among the top ties;
         // it must at least be present and carry the maximum score.
         let top_score = ranking.suspects()[0].1;
-        let rank42 = ranking.rank_of(42).expect("true cell is a suspect");
+        let rank42 = ranking
+            .suspects()
+            .iter()
+            .position(|&(cell, _)| cell == 42)
+            .expect("true cell is a suspect");
         assert!(
             (ranking.suspects()[rank42].1 - top_score).abs() < 1e-12,
             "true cell must carry the top score"
@@ -153,10 +132,14 @@ mod tests {
         let outcome = plan.analyze(bits.iter().copied());
         let diag = diagnose(&plan, &outcome);
         let ranking = SuspectRanking::compute(&plan, &outcome, diag.candidates());
-        let mut truth = BitSet::new(100);
-        truth.insert(20);
-        truth.insert(21);
-        let mean = ranking.mean_rank_of(&truth);
+        let rank = |truth: usize| {
+            ranking
+                .suspects()
+                .iter()
+                .position(|&(cell, _)| cell == truth)
+                .expect("true cell is a suspect")
+        };
+        let mean = (rank(20) + rank(21)) as f64 / 2.0;
         // The true cells should sit in the upper half of the list.
         assert!(
             mean <= diag.num_candidates() as f64 / 2.0,
@@ -172,6 +155,5 @@ mod tests {
         let diag = diagnose(&plan, &outcome);
         let ranking = SuspectRanking::compute(&plan, &outcome, diag.candidates());
         assert!(ranking.suspects().is_empty());
-        assert_eq!(ranking.mean_rank_of(&BitSet::new(50)), 0.0);
     }
 }

@@ -34,7 +34,6 @@
 
 pub mod bench;
 mod bitset;
-pub mod dot;
 mod error;
 mod fenwick;
 mod gate;

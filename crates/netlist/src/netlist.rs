@@ -329,7 +329,7 @@ impl NetlistBuilder {
     }
 
     /// Convenience: drives the named DFF data net with a buffer of a
-    /// single source (used by doc examples and generators).
+    /// single source (used by the [`Netlist`] doc example).
     ///
     /// # Errors
     ///

@@ -200,17 +200,6 @@ impl Gen {
         s
     }
 
-    /// A string of `min..=max` printable-ASCII chars (space through
-    /// `~`), recorded under `label`.
-    pub fn ascii_string(&mut self, label: &str, min: usize, max: usize) -> String {
-        let len = self.rng.gen_range_inclusive(min, max);
-        let s: String = (0..len)
-            .map(|_| char::from(self.rng.gen_range_inclusive(0x20, 0x7E) as u8))
-            .collect();
-        self.record(label, &s);
-        s
-    }
-
     /// A string of `min..=max` printable chars mixing ASCII and a few
     /// non-ASCII ranges (Latin-1 letters, Greek, CJK, emoji), recorded
     /// under `label`.
@@ -377,9 +366,6 @@ mod tests {
             assert!(v.len() <= 10 && v.iter().all(|&b| b < 100));
             let s = g.set("set", 1, 5, |r| r.gen_index(4));
             assert!(!s.is_empty() && s.len() <= 4);
-            let text = g.ascii_string("text", 0, 12);
-            assert!(text.len() <= 12);
-            assert!(text.chars().all(|c| (' '..='~').contains(&c)));
             let uni = g.unicode_string("uni", 1, 8);
             assert!(uni.chars().all(|c| c as u32 >= 0x20));
             let f = g.f64("f", -1e6, 1e6);

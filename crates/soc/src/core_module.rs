@@ -28,16 +28,6 @@ impl CoreModule {
         }
     }
 
-    /// Wraps a netlist with an explicit scan view.
-    #[must_use]
-    pub fn with_view(netlist: Netlist, view: ScanView) -> Self {
-        CoreModule {
-            name: netlist.name().to_owned(),
-            netlist,
-            view,
-        }
-    }
-
     /// The core (circuit) name.
     #[must_use]
     pub fn name(&self) -> &str {

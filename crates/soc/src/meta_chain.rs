@@ -185,18 +185,6 @@ impl Soc {
         }
         layout
     }
-
-    /// The global cell ids (chain-major dense indices, as in
-    /// [`Soc::layout`]) belonging to one core.
-    #[must_use]
-    pub fn core_cells(&self, core: usize) -> Vec<usize> {
-        self.layout()
-            .iter()
-            .enumerate()
-            .filter(|(_, (cell, _, _))| cell.core as usize == core)
-            .map(|(global, _)| global)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -258,17 +246,6 @@ mod tests {
         let first_len = soc.chains()[0].len();
         assert_eq!(layout[first_len].1, 1);
         assert_eq!(layout[first_len].2, 0);
-    }
-
-    #[test]
-    fn core_cells_partition_globals() {
-        let soc = Soc::balanced("t", two_cores(), 2).unwrap();
-        let a = soc.core_cells(0);
-        let b = soc.core_cells(1);
-        assert_eq!(a.len(), 4);
-        assert_eq!(b.len(), 20);
-        let all: std::collections::BTreeSet<usize> = a.iter().chain(b.iter()).copied().collect();
-        assert_eq!(all.len(), 24);
     }
 
     #[test]
