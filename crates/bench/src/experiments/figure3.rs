@@ -43,7 +43,7 @@ pub(super) fn run() -> Report {
             // clustered case Fig. 2 predicts — falling into a single
             // interval.
             if cells.len() == 2
-                && cells[1] - cells[0] <= 3
+                && cells[1] - cells[0] == 1
                 && interval_partition.group_of(cells[0]) == interval_partition.group_of(cells[1])
             {
                 chosen = Some((*fault, pattern, cells));
