@@ -141,7 +141,9 @@ pub(crate) fn intersect<E>(
                 candidates.extend_from_slice(plan.first_partition_cells(group));
             }
         } else {
-            candidates.retain(|&cell| outcome.failed(p, plan.group_of(p, cell as usize)));
+            let groups = plan.cell_groups(p);
+            let verdicts = outcome.row(p);
+            candidates.retain(|&cell| verdicts[usize::from(groups[cell as usize])] != 0);
         }
         scan_obs::metrics::record_pow2("diagnose.candidates_per_step", candidates.len() as u64);
         prefix_counts.push(candidates.len());

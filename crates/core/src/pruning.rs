@@ -46,12 +46,14 @@ pub fn prune_by_cover(
     let mut row_of = vec![usize::MAX; plan.max_groups()];
     for p in 0..plan.partitions().len() {
         let first_row = groups.len() / words;
+        let cell_groups = plan.cell_groups(p);
+        let verdicts = outcome.row(p);
         for (i, &cell) in cells.iter().enumerate() {
-            let group = plan.group_of(p, cell);
-            if !outcome.failed(p, group) {
+            let group = usize::from(cell_groups[cell]);
+            if verdicts[group] == 0 {
                 continue;
             }
-            let row = &mut row_of[usize::from(group)];
+            let row = &mut row_of[group];
             if *row == usize::MAX || *row < first_row {
                 *row = groups.len() / words;
                 groups.resize(groups.len() + words, 0);

@@ -255,16 +255,14 @@ fn weighted_vote(
     observed: &ObservedOutcome,
     weights: Option<&[f64]>,
 ) -> (BitSet, f64) {
-    let layout = plan.layout();
-    let num_cells = layout.num_cells();
+    let num_cells = plan.layout().num_cells();
     let mut support = vec![0.0f64; num_cells];
-    for (p, partition) in plan.partitions().iter().enumerate() {
+    for p in 0..plan.partitions().len() {
         let row = observed.row_range(p);
         let verdicts = &observed.verdicts()[row.clone()];
         let row_weights = weights.map(|w| &w[row]);
-        for (cell, score) in support.iter_mut().enumerate() {
-            let (_, pos) = layout.coord(cell);
-            let group = usize::from(partition.group_of(pos as usize));
+        for (score, &group) in support.iter_mut().zip(plan.cell_groups(p)) {
+            let group = usize::from(group);
             if verdicts[group] == Verdict::Fail {
                 *score += row_weights.map_or(1.0, |w| w[group]);
             }
@@ -539,7 +537,7 @@ fn grade_final_status(
 /// signatures over the wire rather than simulating them):
 ///
 /// - a consistent grid yields [`Confidence::Exact`] candidates,
-///   bit-identical to [`diagnose`];
+///   bit-identical to [`diagnose`](crate::diagnose::diagnose);
 /// - an all-passed grid yields [`Confidence::Inconclusive`] with
 ///   [`InconclusiveReason::AllPassed`] (an answer, not an error — a
 ///   fault-free unit is a legitimate service response);

@@ -10,7 +10,7 @@
 //! diagnosis (which vectors) can be run from the same fault evidence.
 
 use scan_bist::partition::{generate_partitions, PartitionConfig};
-use scan_bist::{Partition, Scheme};
+use scan_bist::{primitive_poly, Partition, Scheme};
 use scan_netlist::BitSet;
 
 use crate::error::BuildPlanError;
@@ -48,6 +48,11 @@ impl VectorDiagnosisPlan {
             return Err(BuildPlanError::TooManyGroups {
                 groups,
                 positions: model.num_patterns(),
+            });
+        }
+        if primitive_poly(partition_lfsr_degree).is_err() {
+            return Err(BuildPlanError::UnsupportedDegree {
+                degree: partition_lfsr_degree,
             });
         }
         let mut config = PartitionConfig::new(model.num_patterns(), groups);
@@ -143,6 +148,17 @@ mod tests {
         scheme: Scheme,
     ) -> VectorDiagnosisPlan {
         VectorDiagnosisPlan::new(model(chain_len, patterns), groups, parts, scheme, 16, 1).unwrap()
+    }
+
+    #[test]
+    fn unsupported_partition_degree_is_a_typed_error() {
+        for scheme in [Scheme::RandomSelection, Scheme::TWO_STEP_DEFAULT] {
+            let err = VectorDiagnosisPlan::new(model(20, 64), 4, 3, scheme, 40, 1);
+            assert_eq!(
+                err.err(),
+                Some(BuildPlanError::UnsupportedDegree { degree: 40 })
+            );
+        }
     }
 
     #[test]

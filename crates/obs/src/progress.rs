@@ -33,7 +33,7 @@ fn should_print(finished: bool) -> bool {
 }
 
 /// Reports `done` of `total` units finished under `label`. Prints at
-/// most one line per [`MIN_INTERVAL_MS`] per thread, plus the final
+/// most one line per `MIN_INTERVAL_MS` per thread, plus the final
 /// `done == total` line.
 pub fn tick(label: &str, done: usize, total: usize) {
     if !registry::progress_enabled() {

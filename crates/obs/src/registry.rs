@@ -1,15 +1,15 @@
 //! The sharded recording substrate behind spans and metrics.
 //!
-//! Every recording thread owns a thread-local [`Shard`] holding its own
+//! Every recording thread owns a thread-local `Shard` holding its own
 //! counter/histogram maps, open-span stack, and event buffer, so workers
 //! spawned by `std::thread::scope` record without touching a shared
-//! lock. A shard folds itself into the process-wide [`Global`] state
+//! lock. A shard folds itself into the process-wide `Global` state
 //! exactly once — when its thread exits (TLS drop) or when the owning
 //! thread calls [`flush_thread`] — which is the only time the global
 //! mutex is taken on the recording side.
 //!
 //! The fast path when observability is disabled is a single relaxed
-//! atomic load of [`STATE`]; no thread-local access, no allocation, no
+//! atomic load of `STATE`; no thread-local access, no allocation, no
 //! branch beyond the flag test.
 
 use std::cell::RefCell;
@@ -18,11 +18,11 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Bit in [`STATE`]: spans and NDJSON events are recorded.
+/// Bit in `STATE`: spans and NDJSON events are recorded.
 pub const TRACE: u8 = 1;
-/// Bit in [`STATE`]: counters and histograms are recorded.
+/// Bit in `STATE`: counters and histograms are recorded.
 pub const METRICS: u8 = 2;
-/// Bit in [`STATE`]: rate-limited progress lines go to stderr.
+/// Bit in `STATE`: rate-limited progress lines go to stderr.
 pub const PROGRESS: u8 = 4;
 
 /// The global enable mask. All recording entry points load this with
@@ -150,7 +150,7 @@ impl Histogram {
     }
 }
 
-/// Everything one thread records before folding into [`Global`].
+/// Everything one thread records before folding into `Global`.
 struct Shard {
     thread: u32,
     epoch: Instant,

@@ -15,7 +15,7 @@
 //!   expand a single `u64` seed into full generator state (every bit
 //!   of the seed affects every bit of the state) and to derive
 //!   decorrelated per-index child seeds for parallel work sharding
-//!   (see [`derive`]).
+//!   (see [`derive`](fn@derive)).
 //! * [`ScanRng`] — Blackman & Vigna's xoshiro256\*\*, a 256-bit-state
 //!   generator with period 2²⁵⁶ − 1 that passes `BigCrush`. This is the
 //!   workspace's one and only general-purpose stream.
@@ -70,11 +70,13 @@ pub struct SplitMix64 {
 impl SplitMix64 {
     /// Creates a generator from a raw 64-bit seed.
     #[must_use]
+    #[inline]
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// The next 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -107,6 +109,7 @@ impl SplitMix64 {
 /// assert_ne!(derive(0, 1), derive(1, 0));
 /// ```
 #[must_use]
+#[inline]
 pub fn derive(seed: u64, index: u64) -> u64 {
     let root = SplitMix64::new(seed).next_u64();
     SplitMix64::new(root ^ index).next_u64()
@@ -148,6 +151,7 @@ impl ScanRng {
     /// (`SplitMix64` visits zero exactly once over its 2⁶⁴ period, so at
     /// most one of the four words can be zero).
     #[must_use]
+    #[inline]
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
         ScanRng {
@@ -156,6 +160,7 @@ impl ScanRng {
     }
 
     /// The next 64-bit output word.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -170,17 +175,20 @@ impl ScanRng {
 
     /// The next 32-bit output (the high half of a 64-bit word, which
     /// carries xoshiro's best-mixed bits).
+    #[inline]
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 
     /// A fair coin flip.
+    #[inline]
     pub fn next_bool(&mut self) -> bool {
         // The top bit of the output word.
         self.next_u64() >> 63 != 0
     }
 
     /// A uniform float in `[0, 1)` with 53 random mantissa bits.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 top bits / 2^53: the standard xoshiro double recipe.
         #[allow(clippy::cast_precision_loss)] // value fits in 53 bits
@@ -194,6 +202,7 @@ impl ScanRng {
     /// # Panics
     ///
     /// Panics if `p` is NaN.
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         // lint:allow(L012): documented `# Panics` contract on a caller-supplied argument
         assert!(!p.is_nan(), "gen_bool probability is NaN");
@@ -206,6 +215,7 @@ impl ScanRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn gen_u64_below(&mut self, bound: u64) -> u64 {
         // lint:allow(L012): documented `# Panics` contract on a caller-supplied argument
         assert!(bound > 0, "gen_u64_below bound must be nonzero");
@@ -227,6 +237,7 @@ impl ScanRng {
     /// # Panics
     ///
     /// Panics if `len` is zero.
+    #[inline]
     pub fn gen_index(&mut self, len: usize) -> usize {
         #[allow(clippy::cast_possible_truncation)] // bound fits in usize
         {
@@ -239,6 +250,7 @@ impl ScanRng {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[inline]
     pub fn gen_range(&mut self, low: usize, high: usize) -> usize {
         // lint:allow(L012): documented `# Panics` contract on a caller-supplied argument
         assert!(low < high, "gen_range range {low}..{high} is empty");
@@ -250,6 +262,7 @@ impl ScanRng {
     /// # Panics
     ///
     /// Panics if `low > high`.
+    #[inline]
     pub fn gen_range_inclusive(&mut self, low: usize, high: usize) -> usize {
         assert!(
             low <= high,
@@ -266,6 +279,7 @@ impl ScanRng {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[inline]
     pub fn gen_range_u64(&mut self, low: u64, high: u64) -> u64 {
         assert!(low < high, "gen_range_u64 range {low}..{high} is empty");
         low + self.gen_u64_below(high - low)

@@ -233,7 +233,7 @@ impl Gen {
 ///
 /// Defaults: 256 cases, a fixed workspace-wide base seed. Each case
 /// `i` of a property seeds its [`Gen`] with
-/// [`derive`]`(base ^ fnv(name), i)`, so properties are decorrelated
+/// [`derive`](fn@crate::derive)`(base ^ fnv(name), i)`, so properties are decorrelated
 /// from each other and every case is individually reproducible.
 #[derive(Clone, Copy, Debug)]
 pub struct Runner {

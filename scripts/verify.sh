@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Workspace verification: tier-1 (release build + full test suite) plus
-# a warning-free clippy pass and the vendored scan-lint static-analysis
-# gate (docs/LINTS.md). Run from anywhere inside the repository.
+# a warning-free clippy pass, warning-free rustdoc, and the vendored
+# scan-lint static-analysis gate (docs/LINTS.md). Run from anywhere
+# inside the repository.
 #
 #   scripts/verify.sh
 #
@@ -22,6 +23,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
+
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # perfbench is a workspace of its own, so neither step above builds it:
 # build and test it here, or an API change that breaks the benchmark
