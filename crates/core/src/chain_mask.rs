@@ -73,23 +73,25 @@ where
 }
 
 /// Candidate cells under chain masking: a cell survives iff, in every
-/// partition, the session of *its group on its chain* failed.
+/// partition, the session of *its group on its chain* failed. Each
+/// partition reads the plan's cell→group row, as
+/// [`diagnose`](crate::diagnose::diagnose) does.
 #[must_use]
 pub fn diagnose_chain_masked(plan: &DiagnosisPlan, outcome: &ChainMaskedOutcome) -> BitSet {
     let layout = plan.layout();
-    let mut candidates = BitSet::full(layout.num_cells());
-    for (p, partition) in plan.partitions().iter().enumerate() {
-        let mut keep = BitSet::new(layout.num_cells());
-        for cell in &candidates {
-            let (chain, pos) = layout.coord(cell);
-            let g = partition.group_of(pos as usize);
-            if outcome.failed(p, g, chain as usize) {
-                keep.insert(cell);
-            }
-        }
-        candidates = keep;
+    let mut candidates: Vec<(u32, u32)> = (0..layout.num_cells())
+        .map(|cell| (cell as u32, layout.coord(cell).0))
+        .collect();
+    for p in 0..plan.partitions().len() {
+        let groups = plan.cell_groups(p);
+        candidates
+            .retain(|&(cell, chain)| outcome.failed(p, groups[cell as usize], chain as usize));
     }
-    candidates
+    let mut set = BitSet::new(layout.num_cells());
+    for (cell, _) in candidates {
+        set.insert(cell as usize);
+    }
+    set
 }
 
 #[cfg(test)]

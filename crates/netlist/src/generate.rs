@@ -19,13 +19,16 @@
 //! Each gate input is one *pick*: a uniform draw from the nets of a
 //! positional window over every earlier layer, preferring nets no gate
 //! reads yet. Per gate, the generator formats one name (its output
-//! net's, when it creates the net) and looks no name up: it drives the
-//! builder by [`NetId`]. The gate's window costs two binary searches per
-//! layer, once per gate unless a pick has to widen it. Each pick then
-//! costs, per layer, two Fenwick prefix walks over the "already read"
-//! flags for both pool sizes, plus one Fenwick descent for the drawn
-//! member. Generation is O(gates · fan-in · layers · log n) rather than
-//! O(gates · window).
+//! net's, when it creates the net) straight into the builder's name
+//! buffer and looks no name up: it drives the builder by [`NetId`]. The
+//! gate's window is found once per gate unless a pick has to widen it:
+//! per layer, a bucket table over the sorted positions gives a slot at
+//! or before each window edge, and a short forward step (about one slot
+//! on average) finds the edge. The window's pool sizes are then counted
+//! once, by popcounts over the layer's read-flag bit row; each pick
+//! takes one member from the drawn pool, found by a word scan of that
+//! row, and lowers that pool's count by one. Generation is
+//! O(gates · fan-in · (layers + window / 64)).
 //!
 //! The output for a given `(profile, seed, config)` is pinned byte for
 //! byte (`tests/generate_pinned.rs`), and so is the *order of the RNG
@@ -35,8 +38,8 @@
 
 use scan_rng::ScanRng;
 
-use crate::fenwick::{Pool, ReadMarks};
 use crate::gate::{GateKind, NetId};
+use crate::read_marks::{Pool, ReadMarks};
 use crate::{Netlist, NetlistBuilder};
 
 /// Published interface statistics of a benchmark circuit.
@@ -410,15 +413,15 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
     // their index position (scan order == position order).
     let mut sources = Vec::with_capacity(profile.inputs + profile.dffs);
     for i in 0..profile.inputs {
-        let net = b.new_net(format!("pi{i}"));
+        let net = b.new_net(format_args!("pi{i}"));
         b.add_input(net);
         let pos = (i as f64 + 0.5) / profile.inputs.max(1) as f64;
         sources.push((pos, net));
     }
     let mut ff_d_nets = Vec::with_capacity(profile.dffs);
     for i in 0..profile.dffs {
-        let q = b.new_net(format!("q{i}"));
-        let d = b.new_net(format!("d{i}"));
+        let q = b.new_net(format_args!("q{i}"));
+        let d = b.new_net(format_args!("d{i}"));
         b.add_dff(q, d);
         let pos = (i as f64 + 0.5) / profile.dffs.max(1) as f64;
         sources.push((pos, q));
@@ -445,7 +448,7 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
         let mut layer = Vec::with_capacity(this_level);
         for _ in 0..this_level {
             let pos: f64 = rng.next_f64();
-            let net = b.new_net(format!("w{gate_counter}"));
+            let net = b.new_net(format_args!("w{gate_counter}"));
             gate_counter += 1;
             let kind = pick_kind(&mut rng, config);
             let fanin = if kind.is_unary() {
@@ -470,7 +473,7 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
     }
     // Hook up POs similarly.
     for i in 0..profile.outputs {
-        let net = b.new_net(format!("po{i}"));
+        let net = b.new_net(format_args!("po{i}"));
         let pos = (i as f64 + 0.5) / profile.outputs.max(1) as f64;
         let kind = pick_kind_nonunary(&mut rng, config);
         let fanin = rng.gen_range_inclusive(2, config.max_fanin);
@@ -549,8 +552,51 @@ fn pick_kind_nonunary(rng: &mut ScanRng, config: &GeneratorConfig) -> GateKind {
 /// One finished layer of candidate input nets, sorted by position.
 struct Layer {
     nets: Vec<(f64, NetId)>,
+    /// Bucket table over the positions: with one bucket per slot,
+    /// `start[b]` is the first slot whose [`Layer::bucket`] is `b` or
+    /// more (`nets.len()` if none is).
+    start: Vec<u32>,
     /// Which slots some gate already reads (dangling-logic avoidance).
     read: ReadMarks,
+}
+
+impl Layer {
+    /// Sorts `nets` by position and builds the bucket table. The sort is
+    /// stable, so nets at equal positions keep their creation order.
+    fn new(mut nets: Vec<(f64, NetId)>) -> Self {
+        nets.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let buckets = nets.len();
+        let mut start = Vec::with_capacity(buckets + 1);
+        for (slot, &(p, _)) in nets.iter().enumerate() {
+            let b = Self::bucket(buckets, p);
+            start.resize(start.len().max(b + 1), slot as u32);
+        }
+        start.resize(buckets + 1, nets.len() as u32);
+        let read = ReadMarks::new(nets.len());
+        Layer { nets, start, read }
+    }
+
+    /// The bucket of position `x` among `buckets` equal buckets over
+    /// `[0, 1)`, clamped to `[0, buckets]`. It never decreases as `x`
+    /// grows, which is all [`Layer::slots_below`] relies on.
+    #[allow(clippy::cast_sign_loss)] // `as` saturates: x < 0 and NaN land in 0
+    fn bucket(buckets: usize, x: f64) -> usize {
+        ((x * buckets as f64) as usize).min(buckets)
+    }
+
+    /// Number of slots whose position is below `x` (`inclusive` false)
+    /// or at most `x` (`inclusive` true): the slot `partition_point`
+    /// returns for `p < x` or `p <= x`. Every slot before
+    /// `start[bucket(x)]` lies in a lower bucket, so below `x`; the
+    /// lookup steps forward from there.
+    fn slots_below(&self, x: f64, inclusive: bool) -> usize {
+        let below = |p: f64| if inclusive { p <= x } else { p < x };
+        let mut slot = self.start[Self::bucket(self.nets.len(), x)] as usize;
+        while slot < self.nets.len() && below(self.nets[slot].0) {
+            slot += 1;
+        }
+        slot
+    }
 }
 
 /// A net in the accumulated layers: `(layer, slot)` in position order.
@@ -560,21 +606,21 @@ struct NetRef {
     slot: usize,
 }
 
-/// A layer's share of the current window: its slot range `[lo, hi)`
-/// and the sizes of both pools after excluding already-chosen nets.
+/// A layer's share of the current window: the first slot of its range
+/// and the sizes of both pools in the range, less the nets already
+/// chosen.
 #[derive(Clone, Copy)]
 struct LayerWindow {
     lo: usize,
-    hi: usize,
     unread: usize,
     read: usize,
 }
 
 impl LayerWindow {
-    fn size(&self, pool: Pool) -> usize {
+    fn size(&mut self, pool: Pool) -> &mut usize {
         match pool {
-            Pool::Unread => self.unread,
-            Pool::Read => self.read,
+            Pool::Unread => &mut self.unread,
+            Pool::Read => &mut self.read,
         }
     }
 }
@@ -598,12 +644,9 @@ impl Picker {
         }
     }
 
-    /// Appends a layer of `(position, net)` pairs. The sort is stable,
-    /// so nets at equal positions keep their creation order.
-    fn push_layer(&mut self, mut nets: Vec<(f64, NetId)>) {
-        nets.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let read = ReadMarks::new(nets.len());
-        self.layers.push(Layer { nets, read });
+    /// Appends a layer of `(position, net)` pairs.
+    fn push_layer(&mut self, nets: Vec<(f64, NetId)>) {
+        self.layers.push(Layer::new(nets));
     }
 
     /// Slots of the already-chosen nets that lie in `layer`.
@@ -615,15 +658,17 @@ impl Picker {
     }
 
     /// Sets every layer's slot range to the nets within `window` of
-    /// `pos`.
+    /// `pos`, and its pool sizes to the range's members that are not
+    /// chosen yet.
     fn set_window(&mut self, pos: f64, window: f64) {
+        let chosen = &self.chosen;
         self.windows.clear();
         self.windows
-            .extend(self.layers.iter().map(|layer| LayerWindow {
-                lo: layer.nets.partition_point(|(p, _)| *p < pos - window),
-                hi: layer.nets.partition_point(|(p, _)| *p <= pos + window),
-                unread: 0,
-                read: 0,
+            .extend(self.layers.iter().enumerate().map(|(l, layer)| {
+                let lo = layer.slots_below(pos - window, false);
+                let hi = layer.slots_below(pos + window, true);
+                let (unread, read) = layer.read.counts(lo, hi, Self::chosen_in(chosen, l));
+                LayerWindow { lo, unread, read }
             }));
     }
 
@@ -637,26 +682,22 @@ impl Picker {
     /// The pools are the window's nets in layer order, then position
     /// order, minus the nets already chosen for this gate; a pick is a
     /// uniform index into the chosen pool. Each pick starts from the
-    /// `locality` window. The layers' slot ranges are found once per
-    /// window width, so a gate pays for them once unless a pick widens
-    /// its window; each attempt then costs O(layers · log n) through the
-    /// per-layer [`ReadMarks`] counts. The order of the `rng` draws is
-    /// part of the pinned output (see the module docs).
+    /// `locality` window. The layers' slot ranges and pool sizes are
+    /// found once per window width, so a gate pays for them once unless
+    /// a pick widens its window; a pick removes its net from the drawn
+    /// pool, so it lowers that pool's size by exactly one. The order of
+    /// the `rng` draws is part of the pinned output (see the module
+    /// docs).
     fn pick_inputs(&mut self, rng: &mut ScanRng, pos: f64, fanin: usize) -> Vec<NetId> {
         self.chosen.clear();
         let mut window = self.locality;
         let mut widened = false;
         self.set_window(pos, window);
         while self.chosen.len() < fanin {
-            let (mut unread, mut read) = (0, 0);
-            for (l, (layer, share)) in self.layers.iter().zip(&mut self.windows).enumerate() {
-                (share.unread, share.read) =
-                    layer
-                        .read
-                        .counts(share.lo, share.hi, Self::chosen_in(&self.chosen, l));
-                unread += share.unread;
-                read += share.read;
-            }
+            let (unread, read) = self
+                .windows
+                .iter()
+                .fold((0, 0), |(u, r), share| (u + share.unread, r + share.read));
             // Prefer unread nets most of the time; mixing in some reuse
             // keeps fanout (and therefore branch faults) realistic.
             let (pool, size) = if unread > 0 && (read == 0 || rng.gen_bool(0.8)) {
@@ -667,7 +708,6 @@ impl Picker {
             if size == 0 {
                 window *= 2.0;
                 widened = true;
-                self.set_window(pos, window);
                 if window > 1.0 {
                     // Degenerate (shouldn't happen: sources always exist);
                     // fall back to any net from the first layer, without
@@ -680,18 +720,21 @@ impl Picker {
                         self.chosen.push(any);
                     }
                 }
+                self.set_window(pos, window);
                 continue;
             }
             let mut k = rng.gen_index(size);
-            for (l, share) in self.windows.iter().enumerate() {
-                if k < share.size(pool) {
+            for (l, share) in self.windows.iter_mut().enumerate() {
+                let members = share.size(pool);
+                if k < *members {
+                    *members -= 1;
                     let read = &mut self.layers[l].read;
                     let slot = read.select(share.lo, k, pool, &Self::chosen_in(&self.chosen, l));
                     read.mark(slot);
                     self.chosen.push(NetRef { layer: l, slot });
                     break;
                 }
-                k -= share.size(pool);
+                k -= *members;
             }
             if widened {
                 window = self.locality;
@@ -708,6 +751,8 @@ impl Picker {
 
 #[cfg(test)]
 mod tests {
+    use scan_rng::testkit::Runner;
+
     use super::*;
 
     #[test]
@@ -771,6 +816,39 @@ mod tests {
     #[should_panic(expected = "unknown benchmark")]
     fn benchmark_rejects_unknown_names() {
         let _ = benchmark("s999999");
+    }
+
+    #[test]
+    fn bucket_lookup_matches_partition_point() {
+        Runner::new(512).run("bucket_lookup_matches_partition_point", |g| {
+            // Positions on a grid of 1/(2 len) steps: duplicates are
+            // common, and every other grid point is a bucket edge b/len.
+            let len = g.usize("len", 0, 200);
+            let grid = 2 * len.max(1);
+            let nets: Vec<(f64, NetId)> = g
+                .vec("slots", len, len, |r| r.gen_index(grid))
+                .into_iter()
+                .enumerate()
+                .map(|(i, j)| (j as f64 / grid as f64, NetId(i as u32)))
+                .collect();
+            let layer = Layer::new(nets);
+            for _ in 0..16 {
+                // Window centres on and off the grid; half-widths that
+                // push `pos ± window` below 0 and above 1.
+                let pos = if g.bool("on_grid") {
+                    g.usize("pos_grid", 0, grid) as f64 / grid as f64
+                } else {
+                    g.f64("pos", 0.0, 1.0)
+                };
+                let window = g.pick("window", &[0.0, 1e-4, 0.06, 0.5, 1.5, 4.0]);
+                for x in [pos - window, pos, pos + window] {
+                    let below = layer.nets.partition_point(|(p, _)| *p < x);
+                    let at_most = layer.nets.partition_point(|(p, _)| *p <= x);
+                    assert_eq!(layer.slots_below(x, false), below, "p < {x}");
+                    assert_eq!(layer.slots_below(x, true), at_most, "p <= {x}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -35,10 +35,10 @@
 pub mod bench;
 mod bitset;
 mod error;
-mod fenwick;
 mod gate;
 pub mod generate;
 mod netlist;
+mod read_marks;
 mod scan;
 pub mod scoap;
 pub mod stats;

@@ -1,6 +1,7 @@
 //! Netlist storage, construction, validation, and levelization.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 
 use crate::error::NetlistError;
 use crate::gate::{Dff, DffId, Driver, Gate, GateId, GateKind, NetId};
@@ -39,7 +40,7 @@ use crate::gate::{Dff, DffId, Driver, Gate, GateId, GateKind, NetId};
 #[derive(Clone, Debug)]
 pub struct Netlist {
     name: String,
-    net_names: Vec<String>,
+    names: NetNames,
     drivers: Vec<Driver>,
     gates: Vec<Gate>,
     dffs: Vec<Dff>,
@@ -51,7 +52,7 @@ pub struct Netlist {
     /// outputs are level 0).
     levels: Vec<u32>,
     /// Fanout gate lists per net.
-    fanouts: Vec<Vec<GateId>>,
+    fanouts: FanoutRows,
     /// Gate input pins reading each net (a gate reading a net on two
     /// pins counts twice).
     fanout_pins: Vec<u32>,
@@ -67,7 +68,7 @@ impl Netlist {
     /// Number of nets.
     #[must_use]
     pub fn num_nets(&self) -> usize {
-        self.net_names.len()
+        self.names.len()
     }
 
     /// Number of combinational gates.
@@ -133,7 +134,7 @@ impl Netlist {
     /// The name of a net.
     #[must_use]
     pub fn net_name(&self, net: NetId) -> &str {
-        &self.net_names[net.index()]
+        self.names.get(net.index())
     }
 
     /// The driver of a net.
@@ -145,9 +146,8 @@ impl Netlist {
     /// Finds a net by name.
     #[must_use]
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.net_names
-            .iter()
-            .position(|n| n == name)
+        (0..self.names.len())
+            .find(|&i| self.names.get(i) == name)
             .map(|i| NetId(i as u32))
     }
 
@@ -174,7 +174,7 @@ impl Netlist {
     /// Gates that read the given net.
     #[must_use]
     pub fn fanout(&self, net: NetId) -> &[GateId] {
-        &self.fanouts[net.index()]
+        self.fanouts.row(net.index())
     }
 
     /// Number of gate input pins reading the given net (fanout count,
@@ -187,7 +187,7 @@ impl Netlist {
 
     /// Iterates over all net ids.
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> + '_ {
-        (0..self.net_names.len() as u32).map(NetId)
+        (0..self.names.len() as u32).map(NetId)
     }
 
     /// Iterates over all gate ids in storage order.
@@ -201,6 +201,77 @@ impl Netlist {
     }
 }
 
+/// Fanout gate lists in compressed sparse rows: the gates reading net
+/// `n` are `gates[starts[n]..starts[n + 1]]`.
+#[derive(Clone, Debug)]
+struct FanoutRows {
+    starts: Vec<u32>,
+    gates: Vec<GateId>,
+}
+
+impl FanoutRows {
+    /// The readers of each of `num_nets` nets, in gate order; a gate
+    /// reading a net on several pins appears once in its row.
+    fn new(gates: &[Gate], num_nets: usize) -> Self {
+        let readers = || {
+            gates.iter().enumerate().flat_map(|(gi, gate)| {
+                let inputs = &gate.inputs;
+                (0..inputs.len())
+                    .filter(move |&pin| !inputs[..pin].contains(&inputs[pin]))
+                    .map(move |pin| (inputs[pin].index(), GateId(gi as u32)))
+            })
+        };
+        let mut starts = vec![0u32; num_nets + 1];
+        for (net, _) in readers() {
+            starts[net + 1] += 1;
+        }
+        for i in 0..num_nets {
+            starts[i + 1] += starts[i];
+        }
+        let mut fill = starts.clone();
+        let mut rows = vec![GateId(0); starts[num_nets] as usize];
+        for (net, gate) in readers() {
+            rows[fill[net] as usize] = gate;
+            fill[net] += 1;
+        }
+        FanoutRows {
+            starts,
+            gates: rows,
+        }
+    }
+
+    fn row(&self, net: usize) -> &[GateId] {
+        &self.gates[self.starts[net] as usize..self.starts[net + 1] as usize]
+    }
+}
+
+/// Every net's name in one text buffer: net `i`'s name is
+/// `text[ends[i - 1]..ends[i]]` (from 0 for the first net).
+#[derive(Clone, Debug, Default)]
+struct NetNames {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl NetNames {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// Appends a name formatted from `name`.
+    fn push(&mut self, name: fmt::Arguments<'_>) {
+        self.text
+            .write_fmt(name)
+            .expect("formatting into a String cannot fail");
+        self.ends.push(self.text.len() as u32);
+    }
+}
+
 /// Incremental builder for [`Netlist`].
 ///
 /// Nets are created on first reference by name; [`NetlistBuilder::finish`]
@@ -209,7 +280,7 @@ impl Netlist {
 #[derive(Clone, Debug)]
 pub struct NetlistBuilder {
     name: String,
-    net_names: Vec<String>,
+    names: NetNames,
     by_name: HashMap<String, NetId>,
     drivers: Vec<Option<Driver>>,
     gates: Vec<Gate>,
@@ -226,7 +297,7 @@ impl NetlistBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         NetlistBuilder {
             name: name.into(),
-            net_names: Vec::new(),
+            names: NetNames::default(),
             // lint:allow(L014): name→id lookup only (get/insert), never iterated
             by_name: HashMap::new(),
             drivers: Vec::new(),
@@ -243,7 +314,7 @@ impl NetlistBuilder {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
-        let id = self.new_net(name.to_owned());
+        let id = self.new_net(format_args!("{name}"));
         self.by_name.insert(name.to_owned(), id);
         id
     }
@@ -283,14 +354,15 @@ impl NetlistBuilder {
 
     // The id-based calls below are the single insertion path behind the
     // name-based ones above. The generator calls them directly: it
-    // formats each name once, when it creates the net, and never looks a
-    // net up by name, so its nets stay out of `by_name` (a later
-    // name-based call with the same name would create a second net).
+    // formats each name once, straight into the name buffer, when it
+    // creates the net, and never looks a net up by name, so its nets
+    // stay out of `by_name` (a later name-based call with the same name
+    // would create a second net).
 
     /// Creates a net called `name` without indexing it by name.
-    pub(crate) fn new_net(&mut self, name: String) -> NetId {
-        let id = NetId(self.net_names.len() as u32);
-        self.net_names.push(name);
+    pub(crate) fn new_net(&mut self, name: fmt::Arguments<'_>) -> NetId {
+        let id = NetId(self.names.len() as u32);
+        self.names.push(name);
         self.drivers.push(None);
         id
     }
@@ -339,7 +411,7 @@ impl NetlistBuilder {
         let d = self.net(d_net);
         if self.drivers[d.index()].is_some() {
             return Err(NetlistError::MultipleDrivers {
-                net: self.net_names[d.index()].clone(),
+                net: self.names.get(d.index()).to_owned(),
             });
         }
         let kind = if sources.len() == 1 {
@@ -382,14 +454,14 @@ impl NetlistBuilder {
             for &i in &self.inputs {
                 if !seen.insert(i) {
                     return Err(NetlistError::DuplicateInput {
-                        net: self.net_names[i.index()].clone(),
+                        net: self.names.get(i.index()).to_owned(),
                     });
                 }
             }
         }
         if let Some(&net) = self.conflicts.first() {
             return Err(NetlistError::MultipleDrivers {
-                net: self.net_names[net.index()].clone(),
+                net: self.names.get(net.index()).to_owned(),
             });
         }
         // Every net driven.
@@ -399,7 +471,7 @@ impl NetlistBuilder {
                 Some(d) => drivers.push(*d),
                 None => {
                     return Err(NetlistError::Undriven {
-                        net: self.net_names[i].clone(),
+                        net: self.names.get(i).to_owned(),
                     })
                 }
             }
@@ -408,19 +480,17 @@ impl NetlistBuilder {
         // sources; DFF D inputs are sinks and do not feed back
         // combinationally).
         let num_gates = self.gates.len();
+        let num_nets = self.names.len();
+        let fanouts = FanoutRows::new(&self.gates, num_nets);
+        let mut fanout_pins = vec![0u32; num_nets];
         let mut indegree = vec![0u32; num_gates];
-        let mut fanouts: Vec<Vec<GateId>> = vec![Vec::new(); self.net_names.len()];
-        let mut fanout_pins = vec![0u32; self.net_names.len()];
         for (gi, gate) in self.gates.iter().enumerate() {
-            for &input in &gate.inputs {
+            for (pin, &input) in gate.inputs.iter().enumerate() {
                 fanout_pins[input.index()] += 1;
-                // A gate reading the same net on several pins appears once
-                // in the fanout list; fanout_pins counts pins.
-                if fanouts[input.index()].last() != Some(&GateId(gi as u32)) {
-                    fanouts[input.index()].push(GateId(gi as u32));
-                    if let Driver::Gate(_) = drivers[input.index()] {
-                        indegree[gi] += 1;
-                    }
+                if !gate.inputs[..pin].contains(&input)
+                    && matches!(drivers[input.index()], Driver::Gate(_))
+                {
+                    indegree[gi] += 1;
                 }
             }
         }
@@ -439,7 +509,7 @@ impl NetlistBuilder {
             topo.push(g);
             let out = self.gates[g.index()].output;
             let lvl = levels[g.index()];
-            for &succ in &fanouts[out.index()] {
+            for &succ in fanouts.row(out.index()) {
                 levels[succ.index()] = levels[succ.index()].max(lvl + 1);
                 indegree[succ.index()] -= 1;
                 if indegree[succ.index()] == 0 {
@@ -453,7 +523,7 @@ impl NetlistBuilder {
                 .find(|&i| indegree[i] > 0)
                 .expect("cycle implies a gate with nonzero indegree");
             return Err(NetlistError::CombinationalCycle {
-                net: self.net_names[self.gates[cyclic].output.index()].clone(),
+                net: self.names.get(self.gates[cyclic].output.index()).to_owned(),
             });
         }
         // Adjust levels so every gate level is 1 + max(level of gate-driven
@@ -464,7 +534,7 @@ impl NetlistBuilder {
         }
         Ok(Netlist {
             name: self.name,
-            net_names: self.net_names,
+            names: self.names,
             drivers,
             gates: self.gates,
             dffs: self.dffs,
@@ -482,7 +552,7 @@ impl NetlistBuilder {
     /// Number of nets created so far.
     #[must_use]
     pub fn num_nets(&self) -> usize {
-        self.net_names.len()
+        self.names.len()
     }
 }
 

@@ -2,11 +2,19 @@
 //!
 //! PPSFP (parallel-pattern single-fault propagation) simulates 64 BIST
 //! patterns per `u64` word pass over the netlist. This engine combines
-//! that word layout with cone-limited event propagation and keeps a
-//! *per-word* scratch image of the fault-free net values, so a fault
+//! that word layout with cone-limited event propagation, so a fault
 //! costs only its touched nets — there is no whole-circuit
 //! re-evaluation, unlike the reference oracle
 //! [`FaultSimulator`](crate::FaultSimulator).
+//!
+//! The fault-free values and the scratch image the sweeps dirty are
+//! stored net-major, `[net * words + word]`, so a net's pattern words
+//! sit side by side. One levelized event sweep carries up to 64 pattern
+//! words (4 096 patterns) of a fault: each queued gate holds a `u64`
+//! mask of the words in which one of its inputs changed, and evaluates
+//! exactly those words. The cone is walked once per sweep rather than
+//! once per word, and the work counted (`ppsfp.gate_evals`, gate·word
+//! evaluations) is the same as a separate sweep per word would do.
 //!
 //! It is the workspace's one production fault-simulation engine. Three
 //! things make it the campaign workhorse:
@@ -31,7 +39,9 @@
 //! `tests/engine_diff.rs` proves it over generated circuits, pattern
 //! counts, scan orderings, and sampled fault and multiplet lists.
 
-use scan_netlist::{GateId, Netlist, ScanView};
+use std::ops::Range;
+
+use scan_netlist::{GateId, NetId, Netlist, ScanView};
 
 use crate::error::PatternShapeError;
 use crate::fault::{Fault, FaultSite};
@@ -39,6 +49,10 @@ use crate::fault_sim::{shuffled_candidate_faults, MULTIPLET_SEED_TAG};
 use crate::pattern::PatternSet;
 use crate::response::{ErrorMap, ResponseMap};
 use crate::simulator::Simulator;
+
+/// Pattern words one event sweep carries, one bit each in a gate's
+/// pending-word mask.
+const SWEEP_WORDS: usize = 64;
 
 /// A bit-parallel PPSFP fault simulator bound to one circuit, scan
 /// view, and pattern set.
@@ -65,24 +79,29 @@ pub struct PpsfpSimulator<'a> {
     netlist: &'a Netlist,
     patterns: &'a PatternSet,
     view_len: usize,
-    /// Fault-free net values, `golden_nets[word][net]`.
-    golden_nets: Vec<Vec<u64>>,
+    /// Pattern words per net.
+    words: usize,
+    /// Fault-free net values, net-major: `golden_nets[net * words + word]`.
+    golden_nets: Vec<u64>,
     /// Fault-free observed response (lane-masked).
     golden: ResponseMap,
     /// Observation positions per net (a net can be both a PO and a DFF
     /// data input).
     observers: Vec<Vec<u32>>,
-    /// Per-word scratch image of the net values. Between sweeps every
-    /// word equals `golden_nets`; a sweep dirties only the nets a fault
-    /// touches and restores exactly those, so no word-sized memcpy is
-    /// ever needed.
-    scratch: Vec<Vec<u64>>,
-    /// Whether a gate is already queued, per gate.
-    queued: Vec<bool>,
+    /// Scratch image of the net values, laid out like `golden_nets`.
+    /// Between sweeps it equals `golden_nets`; a sweep dirties only the
+    /// nets a fault touches and restores exactly those rows.
+    scratch: Vec<u64>,
+    /// Words still to evaluate per gate in the current sweep, bit `i`
+    /// for the sweep's `i`-th word; a gate is queued exactly when its
+    /// mask is nonzero.
+    pending: Vec<u64>,
     /// Worklist buckets by gate level.
     buckets: Vec<Vec<GateId>>,
     /// Reused gate-input buffer (avoids a heap allocation per event).
     input_buf: Vec<u64>,
+    /// Reused stem forcings of the current sweep.
+    forced_stems: Vec<(NetId, u64)>,
     /// Reused touched-net list.
     touched: Vec<usize>,
 }
@@ -103,19 +122,23 @@ impl<'a> PpsfpSimulator<'a> {
     ) -> Result<Self, PatternShapeError> {
         let _span = scan_obs::span!("golden");
         let sim = Simulator::new(netlist, patterns)?;
-        let mut golden_nets = Vec::with_capacity(patterns.num_words());
+        let words = patterns.num_words();
+        let mut golden_nets = vec![0u64; netlist.num_nets() * words];
         let mut values = vec![0u64; netlist.num_nets()];
-        for word in 0..patterns.num_words() {
+        for word in 0..words {
             sim.eval_word(word, None, &mut values);
-            golden_nets.push(values.clone());
+            for (net, &value) in values.iter().enumerate() {
+                golden_nets[net * words + word] = value;
+            }
         }
         let mut observers = vec![Vec::new(); netlist.num_nets()];
         let mut golden = ResponseMap::zeroed(view.len(), patterns.num_patterns());
         for pos in 0..view.len() {
             let net = view.observed_net(netlist, pos);
             observers[net.index()].push(pos as u32);
-            for (word, nets) in golden_nets.iter().enumerate() {
-                golden.set_word(pos, word, nets[net.index()] & patterns.lane_mask(word));
+            for word in 0..words {
+                let value = golden_nets[net.index() * words + word];
+                golden.set_word(pos, word, value & patterns.lane_mask(word));
             }
         }
         let depth = netlist.depth() as usize;
@@ -123,13 +146,15 @@ impl<'a> PpsfpSimulator<'a> {
             netlist,
             patterns,
             view_len: view.len(),
+            words,
             scratch: golden_nets.clone(),
             golden_nets,
             golden,
             observers,
-            queued: vec![false; netlist.num_gates()],
+            pending: vec![0; netlist.num_gates()],
             buckets: vec![Vec::new(); depth + 2],
             input_buf: Vec::with_capacity(8),
+            forced_stems: Vec::new(),
             touched: Vec::new(),
         })
     }
@@ -173,9 +198,9 @@ impl<'a> PpsfpSimulator<'a> {
     /// Identical verdict to `error_map(fault).is_detected()`.
     pub fn detects(&mut self, fault: &Fault) -> bool {
         let faults = std::slice::from_ref(fault);
-        let words = self.patterns.num_words();
+        let words = self.words;
         for word in 0..words {
-            if self.propagate_word(word, faults, &mut |_, _, _| {}) {
+            if self.propagate(word..word + 1, faults, &mut |_, _, _| {}) {
                 if word + 1 < words {
                     scan_obs::metrics::incr("ppsfp.faults_dropped");
                 }
@@ -195,33 +220,36 @@ impl<'a> PpsfpSimulator<'a> {
     /// is reported at most once per word.
     pub fn sweep<S: FnMut(u32, usize, u64)>(&mut self, faults: &[Fault], mut sink: S) -> bool {
         let mut detected = false;
-        for word in 0..self.patterns.num_words() {
-            detected |= self.propagate_word(word, faults, &mut sink);
+        for start in (0..self.words).step_by(SWEEP_WORDS) {
+            let end = (start + SWEEP_WORDS).min(self.words);
+            detected |= self.propagate(start..end, faults, &mut sink);
         }
         detected
     }
 
-    /// Propagates `faults` through pattern word `word` by levelized
-    /// events, reporting observed diffs to `sink`. Returns whether any
-    /// observed diff occurred. Scratch is restored before returning.
-    fn propagate_word<S: FnMut(u32, usize, u64)>(
+    /// Propagates `faults` through the pattern words in `words` (at most
+    /// [`SWEEP_WORDS`]) by one levelized event sweep, reporting observed
+    /// diffs to `sink`. Returns whether any observed diff occurred.
+    /// Scratch is restored before returning.
+    fn propagate<S: FnMut(u32, usize, u64)>(
         &mut self,
-        word: usize,
+        words: Range<usize>,
         faults: &[Fault],
         sink: &mut S,
     ) -> bool {
-        scan_obs::metrics::incr("ppsfp.words_swept");
-        let mask = self.patterns.lane_mask(word);
+        scan_obs::metrics::add("ppsfp.words_swept", words.len() as u64);
+        let stride = self.words;
         let mut touched = std::mem::take(&mut self.touched);
         let mut input_buf = std::mem::take(&mut self.input_buf);
-        touched.clear();
+        let mut forced_stems = std::mem::take(&mut self.forced_stems);
         let mut detected = false;
         let mut gate_evals = 0u64;
 
         // Seed the worklist. Stem forcings apply in slice order (last
         // wins, matching `Simulator::eval_word_multi`); the final value
-        // of each forced net stays pinned for the whole word.
-        let mut forced_stems: Vec<(scan_netlist::NetId, u64)> = Vec::new();
+        // of each forced net stays pinned for the whole sweep. A pin
+        // fault's gate is evaluated in every swept word.
+        forced_stems.clear();
         for fault in faults {
             match fault.site {
                 FaultSite::Stem(net) => {
@@ -232,68 +260,120 @@ impl<'a> PpsfpSimulator<'a> {
                         forced_stems.push((net, forced));
                     }
                 }
-                FaultSite::Pin { gate, .. } => self.enqueue(gate),
+                FaultSite::Pin { gate, .. } => self.enqueue(gate, !0 >> (64 - words.len())),
             }
         }
         for &(net, forced) in &forced_stems {
-            let diff = (self.scratch[word][net.index()] ^ forced) & mask;
-            if diff == 0 {
-                continue;
+            let mut changed = 0u64;
+            let row = net.index() * stride;
+            for word in words.clone() {
+                let diff = (self.scratch[row + word] ^ forced) & self.patterns.lane_mask(word);
+                if diff != 0 {
+                    self.scratch[row + word] = forced;
+                    changed |= 1 << (word - words.start);
+                    detected |= self.report(net.index(), diff, word, sink);
+                }
             }
-            self.scratch[word][net.index()] = forced;
-            touched.push(net.index());
-            detected |= self.report(net.index(), diff, word, sink);
-            for &g in self.netlist.fanout(net) {
-                self.enqueue(g);
-            }
+            self.fan_out(net, changed, &mut touched);
         }
 
         // Levelized propagation: fanout always points to strictly
-        // higher levels, so each gate is evaluated at most once.
+        // higher levels, so each gate is evaluated at most once per word.
         for level in 0..self.buckets.len() {
             while let Some(gid) = self.buckets[level].pop() {
-                self.queued[gid.index()] = false;
-                let gate = self.netlist.gate(gid);
-                let out_index = gate.output.index();
-                if forced_stems.iter().any(|&(n, _)| n.index() == out_index) {
+                let out = self.netlist.gate(gid).output;
+                if forced_stems.iter().any(|&(n, _)| n == out) {
                     // The output is pinned by a stem fault; input
                     // changes cannot move it.
+                    self.pending[gid.index()] = 0;
                     continue;
                 }
-                gate_evals += 1;
-                input_buf.clear();
-                input_buf.extend(gate.inputs.iter().map(|n| self.scratch[word][n.index()]));
-                for fault in faults {
-                    if let FaultSite::Pin { gate: fgate, pin } = fault.site {
-                        if fgate == gid {
-                            input_buf[pin as usize] = force_word(fault.stuck);
-                        }
-                    }
-                }
-                let new = gate.kind.eval_words(&input_buf);
-                let old = self.scratch[word][out_index];
-                if (new ^ old) & mask == 0 {
-                    continue;
-                }
-                self.scratch[word][out_index] = new;
-                touched.push(out_index);
-                let golden_diff = (new ^ self.golden_nets[word][out_index]) & mask;
-                detected |= self.report(out_index, golden_diff, word, sink);
-                for &succ in self.netlist.fanout(gate.output) {
-                    self.enqueue(succ);
-                }
+                gate_evals += u64::from(self.pending[gid.index()].count_ones());
+                let changed = self.eval_gate(
+                    gid,
+                    words.start,
+                    faults,
+                    &mut input_buf,
+                    &mut detected,
+                    sink,
+                );
+                self.fan_out(out, changed, &mut touched);
             }
         }
 
-        // Restore only the touched nets of this word's scratch image.
+        // Restore only the touched nets' swept words.
         for &net in &touched {
-            self.scratch[word][net] = self.golden_nets[word][net];
+            for at in net * stride + words.start..net * stride + words.end {
+                self.scratch[at] = self.golden_nets[at];
+            }
         }
         touched.clear();
         self.touched = touched;
         self.input_buf = input_buf;
+        self.forced_stems = forced_stems;
         scan_obs::metrics::add("ppsfp.gate_evals", gate_evals);
         detected
+    }
+
+    /// Evaluates gate `gid` in each of its pending words (bit `i` is
+    /// word `first + i`) and clears them. Reports the diffs of the words
+    /// in which its output moved to `sink`, setting `detected` if any
+    /// was observed, and returns the mask of those words.
+    fn eval_gate<S: FnMut(u32, usize, u64)>(
+        &mut self,
+        gid: GateId,
+        first: usize,
+        faults: &[Fault],
+        input_buf: &mut Vec<u64>,
+        detected: &mut bool,
+        sink: &mut S,
+    ) -> u64 {
+        let gate = self.netlist.gate(gid);
+        let stride = self.words;
+        let out = gate.output.index();
+        let mut changed = 0u64;
+        let mut bits = std::mem::take(&mut self.pending[gid.index()]);
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            let word = first + bit as usize;
+            input_buf.clear();
+            input_buf.extend(
+                gate.inputs
+                    .iter()
+                    .map(|n| self.scratch[n.index() * stride + word]),
+            );
+            for fault in faults {
+                if let FaultSite::Pin { gate: fgate, pin } = fault.site {
+                    if fgate == gid {
+                        input_buf[pin as usize] = force_word(fault.stuck);
+                    }
+                }
+            }
+            let new = gate.kind.eval_words(input_buf);
+            let lane_mask = self.patterns.lane_mask(word);
+            let at = out * stride + word;
+            if (new ^ self.scratch[at]) & lane_mask == 0 {
+                continue;
+            }
+            self.scratch[at] = new;
+            changed |= 1 << bit;
+            let golden_diff = (new ^ self.golden_nets[at]) & lane_mask;
+            *detected |= self.report(out, golden_diff, word, sink);
+        }
+        changed
+    }
+
+    /// If `net` changed in any word of `changed`, records it touched
+    /// and queues its fanout gates in those words.
+    fn fan_out(&mut self, net: NetId, changed: u64, touched: &mut Vec<usize>) {
+        if changed == 0 {
+            return;
+        }
+        touched.push(net.index());
+        for &g in self.netlist.fanout(net) {
+            self.enqueue(g, changed);
+        }
     }
 
     /// Reports a net's diff word to every observer of the net. Returns
@@ -316,12 +396,15 @@ impl<'a> PpsfpSimulator<'a> {
         observed
     }
 
-    fn enqueue(&mut self, gate: GateId) {
-        if !self.queued[gate.index()] {
-            self.queued[gate.index()] = true;
+    /// Adds the words of mask `words` to `gate`'s pending words,
+    /// queueing the gate if it had none.
+    fn enqueue(&mut self, gate: GateId, words: u64) {
+        let pending = &mut self.pending[gate.index()];
+        if *pending == 0 {
             let level = self.netlist.gate_level(gate) as usize;
             self.buckets[level].push(gate);
         }
+        *pending |= words;
     }
 
     /// Draws a reproducible sample of up to `count` *detected* faults
@@ -437,6 +520,25 @@ mod tests {
                 "fault {}",
                 fault.describe(&n)
             );
+        }
+    }
+
+    #[test]
+    fn sweeps_longer_than_one_mask_match_full_resimulation() {
+        // 4 200 patterns: 66 words, so `sweep` runs two event sweeps
+        // and the second one's last word is partial.
+        let n = bench::s27();
+        let view = ScanView::natural(&n, true);
+        let patterns = PatternSet::pseudo_random(4, 3, 4_200, 5);
+        let fsim = FaultSimulator::new(&n, &view, &patterns).unwrap();
+        let mut psim = PpsfpSimulator::new(&n, &view, &patterns).unwrap();
+        let faults = FaultUniverse::all(&n);
+        for fault in faults.faults() {
+            assert_eq!(fsim.error_map(fault), psim.error_map(fault));
+            assert_eq!(psim.detects(fault), fsim.is_detected(fault));
+        }
+        for pair in faults.faults().chunks_exact(2) {
+            assert_eq!(fsim.error_map_multi(pair), psim.error_map_multi(pair));
         }
     }
 
