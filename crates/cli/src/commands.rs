@@ -645,7 +645,7 @@ fn describe<W: Write>(netlist: &Netlist, out: &mut W) -> Result<(), String> {
 /// Resolves a circuit argument: a known benchmark name or a `.bench`
 /// file path.
 fn load(circuit: &str) -> Result<Netlist, String> {
-    if circuit == "s27" || generate::profile(circuit).is_some() {
+    if generate::profile(circuit).is_some() {
         Ok(generate::benchmark(circuit))
     } else {
         load_file(circuit)

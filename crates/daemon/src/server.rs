@@ -869,21 +869,17 @@ fn execute_job(inner: &Arc<Inner>, job: &Job) -> String {
     }
 }
 
-/// Builds a plan for the cache: resolve the circuit, derive the scan
-/// view, synthesize partitions.
+/// Builds a plan for the cache: resolve the circuit's scan-chain
+/// length from its published profile, synthesize partitions. The
+/// netlist itself is never built.
 fn build_plan(request: &DiagnoseRequest) -> Result<CachedPlan, ErrorBody> {
-    let known =
-        request.circuit == "s27" || scan_netlist::generate::profile(&request.circuit).is_some();
-    if !known {
+    let Some(cells) = scan_netlist::generate::natural_scan_len(&request.circuit) else {
         return Err(ErrorBody {
             code: "unknown-circuit",
             http: 404,
             message: format!("unknown circuit `{}`", request.circuit),
         });
-    }
-    let netlist = scan_netlist::generate::benchmark(&request.circuit);
-    let view = scan_netlist::ScanView::natural(&netlist, true);
-    let cells = view.len();
+    };
     let scheme = scheme_from_label(request.scheme).map_err(ErrorBody::bad_request)?;
     let plan = scan_diagnosis::DiagnosisPlan::new(
         scan_diagnosis::ChainLayout::single_chain(cells),

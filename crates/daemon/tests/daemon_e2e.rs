@@ -97,12 +97,25 @@ fn s27_line(id: &str) -> String {
 }
 
 /// One valid request line against the largest ISCAS-89 stand-in
-/// (1 742 scan cells), optionally with a per-line deadline.
-fn s38417_line(id: &str, deadline_ms: Option<u64>) -> String {
+/// (1 742 scan cells).
+fn s38417_line(id: &str) -> String {
+    format!(
+        "{{\"id\":\"{id}\",\"circuit\":\"s38417\",\"groups\":8,\"partitions\":6,\
+         \"patterns\":64,\"failing\":[[1],[2],[],[],[],[]]}}"
+    )
+}
+
+/// A request line against s38417 that asks for robust replay: every
+/// partition's evidence is replayed under noise with retries and
+/// voting, milliseconds of work per line even from a cached plan.
+/// Only a job admitted below half the queue's capacity replays; deeper
+/// jobs answer in degraded mode.
+fn s38417_robust_line(id: &str, deadline_ms: Option<u64>) -> String {
     let deadline = deadline_ms.map_or(String::new(), |ms| format!("\"deadline_ms\":{ms},"));
     format!(
         "{{\"id\":\"{id}\",\"circuit\":\"s38417\",\"groups\":8,\"partitions\":6,\
-         \"patterns\":64,{deadline}\"failing\":[[1],[2],[],[],[],[]]}}"
+         \"patterns\":64,{deadline}\"robust\":{{\"flip\":0.05,\"seed\":3}},\
+         \"failing\":[[1],[2],[],[],[],[]]}}"
     )
 }
 
@@ -257,20 +270,20 @@ fn full_queue_sheds_the_batch_with_429_and_retry_after() {
     let _gate = lock();
     let daemon = Daemon::start(DaemonConfig {
         workers: 1,
-        queue_capacity: 2,
+        queue_capacity: 4,
         default_deadline_ms: 30_000,
         ..DaemonConfig::default()
     })
     .expect("start");
     let addr = daemon.addr();
 
-    // One batch with more lines than the queue can hold, against the
-    // largest circuit, whose first plan build pins the single worker
-    // for tens of milliseconds while admission needs microseconds to
-    // hit the bound.
+    // One batch with more lines than the queue can hold. The first
+    // line is admitted into an empty queue, so it runs a robust replay
+    // that pins the single worker for milliseconds, while admission
+    // needs microseconds to hit the bound.
     let mut batch = String::new();
     for i in 0..8 {
-        batch.push_str(&format!("{}\n", s38417_line(&format!("q{i}"), None)));
+        batch.push_str(&format!("{}\n", s38417_robust_line(&format!("q{i}"), None)));
     }
     let reply = post_diagnose(addr, &batch);
     assert_eq!(reply.status, 429, "body: {}", reply.body);
@@ -280,10 +293,11 @@ fn full_queue_sheds_the_batch_with_429_and_retry_after() {
         "shed says when to retry"
     );
     assert!(reply.body.contains("queue-full"), "{}", reply.body);
+    assert!(reply.header("x-scanbist-trace").is_some());
 
     // The daemon is still healthy afterwards: once the lines admitted
-    // before the shed have drained (the worker is still building their
-    // cold plan), a small batch succeeds.
+    // before the shed have drained (cancelled, they are skipped or stop
+    // between partitions), a small batch succeeds.
     wait_for_empty_queue(addr);
     let ok = post_diagnose(addr, &format!("{}\n", s27_line("after")));
     assert_eq!(ok.status, 200, "body: {}", ok.body);
@@ -296,14 +310,18 @@ fn expired_deadline_returns_504_and_cancels_work() {
     let _gate = lock();
     let daemon = Daemon::start(DaemonConfig {
         workers: 1,
+        queue_capacity: 256,
         ..DaemonConfig::default()
     })
     .expect("start");
     let addr = daemon.addr();
 
-    // deadline_ms=1 cannot cover a cold plan build for the largest
-    // circuit (tens of milliseconds).
-    let batch = format!("{}\n", s38417_line("late", Some(1)));
+    // A full batch of robust replays on one worker cannot finish
+    // inside the batch deadline of 1 ms that its first line sets.
+    let mut batch = format!("{}\n", s38417_robust_line("late", Some(1)));
+    for i in 1..256 {
+        batch.push_str(&format!("{}\n", s38417_robust_line(&format!("l{i}"), None)));
+    }
     let reply = post_diagnose(addr, &batch);
     assert_eq!(reply.status, 504, "body: {}", reply.body);
     assert!(reply.body.contains("deadline"), "{}", reply.body);
@@ -318,9 +336,10 @@ fn cold_large_plan_meets_default_deadline() {
     let daemon = Daemon::start(DaemonConfig::default()).expect("start");
     let addr = daemon.addr();
 
-    // A fresh daemon has no cached plan: this line pays the full
-    // netlist generation + plan build inside the default deadline.
-    let reply = post_diagnose(addr, &format!("{}\n", s38417_line("cold", None)));
+    // A fresh daemon has no cached plan: this line pays the whole plan
+    // build (partition synthesis for the scan length the circuit's
+    // profile gives) inside the default deadline.
+    let reply = post_diagnose(addr, &format!("{}\n", s38417_line("cold")));
     assert_eq!(reply.status, 200, "body: {}", reply.body);
     let lines = reply.lines();
     assert_eq!(lines.len(), 1, "{}", reply.body);

@@ -507,6 +507,25 @@ pub fn benchmark(name: &str) -> Netlist {
     generate(p, DEFAULT_BENCHMARK_SEED)
 }
 
+/// Number of observation points in the natural full-scan view of the
+/// benchmark circuit `name` (its flip-flops, then its primary outputs):
+/// what `ScanView::natural(&benchmark(name), true).len()` returns, read
+/// from the published profile without building the circuit. `None` if
+/// `name` is not a known benchmark.
+///
+/// # Examples
+///
+/// ```
+/// use scan_netlist::generate::natural_scan_len;
+///
+/// assert_eq!(natural_scan_len("s27"), Some(3 + 1));
+/// assert_eq!(natural_scan_len("s999999"), None);
+/// ```
+#[must_use]
+pub fn natural_scan_len(name: &str) -> Option<usize> {
+    profile(name).map(|p| p.dffs + p.outputs)
+}
+
 /// Seed used by [`benchmark`] for reproducible experiment circuits.
 pub const DEFAULT_BENCHMARK_SEED: u64 = 0xDA7E_2003;
 
@@ -810,6 +829,16 @@ mod tests {
         let n = benchmark("s27");
         assert_eq!(n.num_gates(), 10);
         assert!(n.find_net("G17").is_some());
+    }
+
+    #[test]
+    fn natural_scan_len_matches_the_built_view() {
+        let names = ISCAS89_PROFILES.iter().chain(ISCAS85_PROFILES);
+        for name in names.map(|p| p.name) {
+            let view = crate::ScanView::natural(&benchmark(name), true);
+            assert_eq!(natural_scan_len(name), Some(view.len()), "{name}");
+        }
+        assert_eq!(natural_scan_len("s999999"), None);
     }
 
     #[test]

@@ -113,50 +113,13 @@ impl FaultUniverse {
     ///
     /// The list is [`FaultUniverse::all`]'s order with each stem fault
     /// replaced by its class representative at the class's first
-    /// occurrence. Costs O(nets + pins).
+    /// occurrence. The samplers' candidate order is built by the same
+    /// collapsing routine, in the same pass that drops unobservable
+    /// sites. Costs O(nets + pins).
     #[must_use]
     pub fn collapsed(netlist: &Netlist) -> Self {
-        // rep: (net, value) stem fault → the equivalent (net, value)
-        // furthest downstream, when that is another fault. Flat-indexed
-        // by `net * 2 + value`. Gates are visited outputs-first, so a
-        // gate's output faults are resolved before its inputs point at
-        // them, and every lookup below is one step.
-        let slot = |net: NetId, value: bool| net.index() * 2 + usize::from(value);
-        let mut rep: Vec<Option<(NetId, bool)>> = vec![None; netlist.num_nets() * 2];
-        for &gid in netlist.topo_order().iter().rev() {
-            let gate = netlist.gate(gid);
-            let out = gate.output;
-            let target = [false, true].map(|value| rep[slot(out, value)].unwrap_or((out, value)));
-            for &input in &gate.inputs {
-                if netlist.fanout_count(input) != 1 {
-                    continue;
-                }
-                match gate.kind {
-                    GateKind::Not | GateKind::Buf => {
-                        let inv = usize::from(gate.kind == GateKind::Not);
-                        rep[slot(input, false)] = Some(target[inv]);
-                        rep[slot(input, true)] = Some(target[1 - inv]);
-                    }
-                    _ => {
-                        if let Some(c) = gate.kind.controlling_value() {
-                            let value = c ^ gate.kind.is_inverting();
-                            rep[slot(input, c)] = Some(target[usize::from(value)]);
-                        }
-                    }
-                }
-            }
-        }
-        let mut seen = vec![false; netlist.num_nets() * 2];
-        let mut faults = Vec::new();
-        for_each_structural_fault(netlist, |fault| match fault.site {
-            FaultSite::Stem(net) => {
-                let (net, stuck) = rep[slot(net, fault.stuck)].unwrap_or((net, fault.stuck));
-                if !std::mem::replace(&mut seen[slot(net, stuck)], true) {
-                    faults.push(Fault::stem(net, stuck));
-                }
-            }
-            FaultSite::Pin { .. } => faults.push(fault),
-        });
+        let mut faults = Vec::with_capacity(2 * netlist.num_nets());
+        for_each_collapsed_fault(netlist, |fault| faults.push(fault));
         FaultUniverse { faults }
     }
 
@@ -182,7 +145,7 @@ impl FaultUniverse {
 /// Visits the structural faults in universe order: both stuck values
 /// on every net stem in net order, then both on every fanout-branch
 /// pin, in gate and pin order. The one definition of that order, which
-/// [`FaultUniverse::all`] collects and [`FaultUniverse::collapsed`]
+/// [`FaultUniverse::all`] collects and [`for_each_collapsed_fault`]
 /// filters.
 fn for_each_structural_fault(netlist: &Netlist, mut visit: impl FnMut(Fault)) {
     for net in netlist.net_ids() {
@@ -197,6 +160,63 @@ fn for_each_structural_fault(netlist: &Netlist, mut visit: impl FnMut(Fault)) {
             }
         }
     }
+}
+
+/// Visits the equivalence-collapsed faults in
+/// [`FaultUniverse::collapsed`]'s order: the one collapsing routine,
+/// which `collapsed` collects and the samplers' candidate order filters.
+pub(crate) fn for_each_collapsed_fault(netlist: &Netlist, mut visit: impl FnMut(Fault)) {
+    let rep = stem_representatives(netlist);
+    let nets: Vec<NetId> = netlist.net_ids().collect();
+    let mut seen = vec![false; rep.len()];
+    for_each_structural_fault(netlist, |fault| match fault.site {
+        FaultSite::Stem(net) => {
+            let class = rep[stem_slot(net, fault.stuck)] as usize;
+            if !std::mem::replace(&mut seen[class], true) {
+                visit(Fault::stem(nets[class / 2], class % 2 == 1));
+            }
+        }
+        FaultSite::Pin { .. } => visit(fault),
+    });
+}
+
+/// Flat index of the stem fault `net`/stuck-at-`value`.
+fn stem_slot(net: NetId, value: bool) -> usize {
+    net.index() * 2 + usize::from(value)
+}
+
+/// The class representative of every stem fault, flat-indexed by
+/// [`stem_slot`]: the slot of the equivalent stem fault furthest
+/// downstream, the fault's own slot when nothing absorbs it. Gates are
+/// visited outputs-first, so a gate's output faults are resolved before
+/// its inputs point at them, and every lookup is one step.
+fn stem_representatives(netlist: &Netlist) -> Vec<u32> {
+    let slots = u32::try_from(netlist.num_nets() * 2).expect("stem slots fit in u32");
+    let mut rep: Vec<u32> = (0..slots).collect();
+    for &gid in netlist.topo_order().iter().rev() {
+        let gate = netlist.gate(gid);
+        let out = gate.output;
+        let target = [false, true].map(|value| rep[stem_slot(out, value)]);
+        for &input in &gate.inputs {
+            if netlist.fanout_count(input) != 1 {
+                continue;
+            }
+            match gate.kind {
+                GateKind::Not | GateKind::Buf => {
+                    let inv = usize::from(gate.kind == GateKind::Not);
+                    rep[stem_slot(input, false)] = target[inv];
+                    rep[stem_slot(input, true)] = target[1 - inv];
+                }
+                _ => {
+                    if let Some(c) = gate.kind.controlling_value() {
+                        let value = c ^ gate.kind.is_inverting();
+                        rep[stem_slot(input, c)] = target[usize::from(value)];
+                    }
+                }
+            }
+        }
+    }
+    rep
 }
 
 /// Returns `true` if the fault site drives anything observable at all

@@ -14,7 +14,7 @@ use scan_rng::ScanRng;
 use scan_netlist::{Netlist, ScanView};
 
 use crate::error::PatternShapeError;
-use crate::fault::{Fault, FaultUniverse};
+use crate::fault::{for_each_collapsed_fault, Fault, FaultSite};
 use crate::pattern::PatternSet;
 use crate::response::{ErrorMap, ResponseMap};
 use crate::simulator::Simulator;
@@ -203,16 +203,19 @@ impl<'a> FaultSimulator<'a> {
     ) -> Vec<Vec<Fault>> {
         assert!(size >= 1, "multiplet size must be at least 1");
         let _span = scan_obs::span!("sample_detected");
-        let faults = shuffled_candidate_faults(self.netlist(), seed ^ MULTIPLET_SEED_TAG);
+        let mut faults = shuffled_candidate_faults(self.netlist(), seed ^ MULTIPLET_SEED_TAG);
         let mut result = Vec::with_capacity(count);
         let mut tried = 0u64;
-        for chunk in faults.chunks_exact(size) {
-            if result.len() == count {
+        let mut chunk = Vec::with_capacity(size);
+        while result.len() < count {
+            chunk.clear();
+            chunk.extend(faults.by_ref().take(size));
+            if chunk.len() < size {
                 break;
             }
             tried += 1;
-            if self.error_map_multi(chunk).is_detected() {
-                result.push(chunk.to_vec());
+            if self.error_map_multi(&chunk).is_detected() {
+                result.push(chunk.clone());
             }
         }
         scan_obs::metrics::add("fault_sim.faults_tried", tried);
@@ -233,41 +236,58 @@ pub(crate) const MULTIPLET_SEED_TAG: u64 = 0x4D55_4C54;
 /// [`PpsfpSimulator`](crate::PpsfpSimulator) sample from this exact
 /// sequence, which is what makes their campaign fault samples — and
 /// therefore every downstream verdict — bit-identical.
-pub(crate) fn shuffled_candidate_faults(netlist: &Netlist, seed: u64) -> Vec<Fault> {
+///
+/// The candidates are listed in one pass of the collapsing routine
+/// behind [`FaultUniverse::collapsed`](crate::FaultUniverse::collapsed),
+/// dropping unobservable stems as they come, and stay in that order;
+/// `ScanRng::shuffle` then permutes a `u32` index per candidate, with
+/// the draws a shuffle of the faults themselves would take. The
+/// returned iterator reads faults through that permutation lazily, so a
+/// sampler that stops early reads only the candidates it simulates.
+pub(crate) fn shuffled_candidate_faults(
+    netlist: &Netlist,
+    seed: u64,
+) -> impl Iterator<Item = Fault> {
     let _span = scan_obs::span!("candidates");
-    let universe = FaultUniverse::collapsed(netlist);
-    // Precomputed [`site_has_fanout`] verdict per stem net: the
-    // per-fault linear scans over outputs/DFFs would dominate the
-    // sampler on large universes.
-    let mut observable = vec![false; netlist.num_nets()];
-    for net in netlist.net_ids() {
-        observable[net.index()] = !netlist.fanout(net).is_empty();
-    }
+    // Precomputed [`site_has_fanout`](crate::site_has_fanout) verdict
+    // per stem net: the per-fault linear scans over outputs/DFFs would
+    // dominate the sampler on large universes.
+    let mut observable: Vec<bool> = netlist
+        .net_ids()
+        .map(|net| !netlist.fanout(net).is_empty())
+        .collect();
     for &out in netlist.outputs() {
         observable[out.index()] = true;
     }
     for dff in netlist.dffs() {
         observable[dff.d.index()] = true;
     }
-    let mut faults: Vec<Fault> = universe
-        .faults()
-        .iter()
-        .copied()
-        .filter(|f| match f.site {
-            crate::fault::FaultSite::Stem(net) => observable[net.index()],
-            crate::fault::FaultSite::Pin { .. } => true,
-        })
-        .collect();
-    let mut rng = ScanRng::seed_from_u64(seed);
-    rng.shuffle(&mut faults);
-    faults
+    // Reserved up front, as `FaultUniverse::all` does. Grown from empty,
+    // the list would start in a small chunk from glibc's thread cache,
+    // which may belong to a finished campaign worker's arena; each
+    // regrowth then stays in that arena, which keeps the freed
+    // megabytes resident for the rest of the process.
+    let mut faults = Vec::with_capacity(2 * netlist.num_nets());
+    for_each_collapsed_fault(netlist, |fault| {
+        let keep = match fault.site {
+            FaultSite::Stem(net) => observable[net.index()],
+            FaultSite::Pin { .. } => true,
+        };
+        if keep {
+            faults.push(fault);
+        }
+    });
+    let len = u32::try_from(faults.len()).expect("candidate count fits in u32");
+    let mut order: Vec<u32> = (0..len).collect();
+    ScanRng::seed_from_u64(seed).shuffle(&mut order);
+    order.into_iter().map(move |i| faults[i as usize])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scan_netlist::bench;
-    use scan_netlist::GateKind;
+    use crate::fault::{site_has_fanout, FaultUniverse};
+    use scan_netlist::{bench, generate, GateKind};
 
     fn setup() -> (Netlist, ScanView, PatternSet) {
         let n = bench::s27();
@@ -430,6 +450,30 @@ mod tests {
             assert!(fsim.error_map_multi(pair).is_detected());
         }
         assert_eq!(pairs, fsim.sample_detected_multiplets(5, 2, 1));
+    }
+
+    #[test]
+    fn candidate_order_matches_the_collect_filter_shuffle_pipeline() {
+        let circuits = ["s27", "s298", "s953", "s5378", "s9234", "s38417", "c880"];
+        for name in circuits {
+            let n = generate::benchmark(name);
+            // Oracle: the collapsed universe, filtered by
+            // `site_has_fanout`, shuffled as `Fault`s.
+            let observable: Vec<Fault> = FaultUniverse::collapsed(&n)
+                .faults()
+                .iter()
+                .copied()
+                .filter(|f| site_has_fanout(&n, f))
+                .collect();
+            for fault_seed in [0, 1, 7, 0xDA7E_2003, u64::MAX] {
+                for seed in [fault_seed, fault_seed ^ MULTIPLET_SEED_TAG] {
+                    let mut want = observable.clone();
+                    ScanRng::seed_from_u64(seed).shuffle(&mut want);
+                    let got: Vec<Fault> = shuffled_candidate_faults(&n, seed).collect();
+                    assert_eq!(got, want, "{name} seed {seed:#x}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::fault::{Fault, FaultSite};
 use crate::fault_sim::{shuffled_candidate_faults, MULTIPLET_SEED_TAG};
 use crate::pattern::PatternSet;
 use crate::response::{ErrorMap, ResponseMap};
-use crate::simulator::Simulator;
+use crate::simulator::check_shape;
 
 /// Pattern words one event sweep carries, one bit each in a gate's
 /// pending-word mask.
@@ -109,7 +109,8 @@ pub struct PpsfpSimulator<'a> {
 impl<'a> PpsfpSimulator<'a> {
     /// Creates the simulator and computes the fault-free values of
     /// every net for every pattern word (under the `golden` span, like
-    /// the oracle).
+    /// the oracle): one topological pass evaluates each gate in every
+    /// word, writing straight into the net-major image.
     ///
     /// # Errors
     ///
@@ -121,14 +122,33 @@ impl<'a> PpsfpSimulator<'a> {
         patterns: &'a PatternSet,
     ) -> Result<Self, PatternShapeError> {
         let _span = scan_obs::span!("golden");
-        let sim = Simulator::new(netlist, patterns)?;
+        check_shape(netlist, patterns)?;
         let words = patterns.num_words();
         let mut golden_nets = vec![0u64; netlist.num_nets() * words];
-        let mut values = vec![0u64; netlist.num_nets()];
-        for word in 0..words {
-            sim.eval_word(word, None, &mut values);
-            for (net, &value) in values.iter().enumerate() {
-                golden_nets[net * words + word] = value;
+        for (pi, &net) in netlist.inputs().iter().enumerate() {
+            let row = net.index() * words;
+            for word in 0..words {
+                golden_nets[row + word] = patterns.pi_word(pi, word);
+            }
+        }
+        for (ff, dff) in netlist.dffs().iter().enumerate() {
+            let row = dff.q.index() * words;
+            for word in 0..words {
+                golden_nets[row + word] = patterns.state_word(ff, word);
+            }
+        }
+        let mut input_buf = Vec::with_capacity(8);
+        for &gid in netlist.topo_order() {
+            let gate = netlist.gate(gid);
+            let row = gate.output.index() * words;
+            for word in 0..words {
+                input_buf.clear();
+                input_buf.extend(
+                    gate.inputs
+                        .iter()
+                        .map(|n| golden_nets[n.index() * words + word]),
+                );
+                golden_nets[row + word] = gate.kind.eval_words(&input_buf);
             }
         }
         let mut observers = vec![Vec::new(); netlist.num_nets()];
@@ -153,7 +173,7 @@ impl<'a> PpsfpSimulator<'a> {
             observers,
             pending: vec![0; netlist.num_gates()],
             buckets: vec![Vec::new(); depth + 2],
-            input_buf: Vec::with_capacity(8),
+            input_buf,
             forced_stems: Vec::new(),
             touched: Vec::new(),
         })
@@ -452,17 +472,20 @@ impl<'a> PpsfpSimulator<'a> {
     ) -> Vec<(Vec<Fault>, ErrorMap)> {
         assert!(size >= 1, "multiplet size must be at least 1");
         let _span = scan_obs::span!("sample_detected");
-        let faults = shuffled_candidate_faults(self.netlist, seed ^ MULTIPLET_SEED_TAG);
+        let mut faults = shuffled_candidate_faults(self.netlist, seed ^ MULTIPLET_SEED_TAG);
         let mut detected = Vec::with_capacity(count);
         let mut tried = 0u64;
-        for chunk in faults.chunks_exact(size) {
-            if detected.len() == count {
+        let mut chunk = Vec::with_capacity(size);
+        while detected.len() < count {
+            chunk.clear();
+            chunk.extend(faults.by_ref().take(size));
+            if chunk.len() < size {
                 break;
             }
             tried += 1;
-            let map = self.error_map_multi(chunk);
+            let map = self.error_map_multi(&chunk);
             if map.is_detected() {
-                detected.push((chunk.to_vec(), map));
+                detected.push((chunk.clone(), map));
             }
         }
         scan_obs::metrics::add("fault_sim.faults_tried", tried);
@@ -520,6 +543,36 @@ mod tests {
                 "fault {}",
                 fault.describe(&n)
             );
+        }
+    }
+
+    #[test]
+    fn golden_image_matches_the_oracle_at_word_edges() {
+        // A gate reading one net on two pins, DFF state feeding back,
+        // and a net observed both as a PO and as a DFF data input.
+        let mut b = scan_netlist::NetlistBuilder::new("twopin");
+        b.input("a");
+        b.input("b");
+        b.dff("q", "d");
+        b.gate(scan_netlist::GateKind::Xor, "y", &["a", "q"]);
+        b.gate(scan_netlist::GateKind::Nand, "z", &["y", "y"]);
+        b.gate(scan_netlist::GateKind::Not, "w", &["z"]);
+        b.gate(scan_netlist::GateKind::Or, "d", &["w", "b"]);
+        b.output("z");
+        b.output("d");
+        let circuits = [
+            bench::s27(),
+            generate(profile("s953").unwrap(), 3),
+            b.finish().unwrap(),
+        ];
+        for n in &circuits {
+            let view = ScanView::natural(n, true);
+            for count in [1, 63, 64, 65, 200, 4_200] {
+                let patterns = PatternSet::pseudo_random(n.num_inputs(), n.num_dffs(), count, 11);
+                let fsim = FaultSimulator::new(n, &view, &patterns).unwrap();
+                let psim = PpsfpSimulator::new(n, &view, &patterns).unwrap();
+                assert_eq!(psim.golden(), fsim.golden(), "{} at {count}", n.name());
+            }
         }
     }
 

@@ -43,14 +43,7 @@ impl<'a> Simulator<'a> {
     /// Returns [`PatternShapeError`] if the pattern set's PI/FF counts
     /// do not match the netlist.
     pub fn new(netlist: &'a Netlist, patterns: &'a PatternSet) -> Result<Self, PatternShapeError> {
-        if patterns.num_pis() != netlist.num_inputs() || patterns.num_ffs() != netlist.num_dffs() {
-            return Err(PatternShapeError {
-                expected_pis: netlist.num_inputs(),
-                expected_ffs: netlist.num_dffs(),
-                found_pis: patterns.num_pis(),
-                found_ffs: patterns.num_ffs(),
-            });
-        }
+        check_shape(netlist, patterns)?;
         Ok(Simulator { netlist, patterns })
     }
 
@@ -148,6 +141,23 @@ impl<'a> Simulator<'a> {
             values[gate.output.index()] = out;
         }
     }
+}
+
+/// Checks that `patterns` drives exactly the netlist's primary inputs
+/// and flip-flops.
+pub(crate) fn check_shape(
+    netlist: &Netlist,
+    patterns: &PatternSet,
+) -> Result<(), PatternShapeError> {
+    if patterns.num_pis() != netlist.num_inputs() || patterns.num_ffs() != netlist.num_dffs() {
+        return Err(PatternShapeError {
+            expected_pis: netlist.num_inputs(),
+            expected_ffs: netlist.num_dffs(),
+            found_pis: patterns.num_pis(),
+            found_ffs: patterns.num_ffs(),
+        });
+    }
+    Ok(())
 }
 
 fn force_word(stuck: bool) -> u64 {
